@@ -147,16 +147,16 @@ impl SymbolicContext {
         Rc::clone(self.plan.as_ref().expect("plan just built"))
     }
 
-    /// The precomputed [`PreImagePlan`] of this context, built on first use
-    /// (typically by a CTL fixpoint or a witness reconstruction).
+    /// The [`PreImagePlan`] of this context, built on first use (typically
+    /// by a CTL fixpoint or a witness reconstruction) as a backward view
+    /// over the forward [`ImagePlan`], whose protected artefacts it shares.
     ///
-    /// Like the forward [`ImagePlan`], the plan's BDDs are protected in the
-    /// manager, so the plan stays valid across garbage collection and
-    /// reordering for the context's lifetime. The returned handle is cheap
-    /// to clone and does not borrow the context.
+    /// The plan stays valid across garbage collection and reordering for
+    /// the context's lifetime. The returned handle is cheap to clone and
+    /// does not borrow the context.
     pub fn pre_image_plan(&mut self) -> Rc<PreImagePlan> {
         if self.pre_plan.is_none() {
-            let plan = PreImagePlan::build(self);
+            let plan = PreImagePlan::new(self.image_plan());
             self.pre_plan = Some(Rc::new(plan));
         }
         Rc::clone(self.pre_plan.as_ref().expect("pre-plan just built"))

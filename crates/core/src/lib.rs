@@ -78,7 +78,7 @@ pub use explicit::ExplicitChecker;
 pub use image::TransitionEffect;
 pub use mc::{CheckReport, PortfolioReport, TraceKind};
 pub use plan::{ImageCluster, ImagePlan, PlannedTransition};
-pub use preplan::{PreImageCluster, PreImagePlan, PrePlannedTransition};
+pub use preplan::PreImagePlan;
 pub use property::{Property, PropertyParseError};
 pub use toggling::{
     per_variable_toggling, toggling_activity, toggling_of_state_codes, toggling_variable_order,

@@ -1,7 +1,7 @@
 //! Symbolic CTL model checking on top of the encodings (Section 5 of the
-//! paper): pre-image computation through the precomputed
+//! paper): pre-image computation through the
 //! [`PreImagePlan`](crate::preplan::PreImagePlan), the full set of CTL
-//! fixpoint operators (`EX EF EG AX AF AG EU AU`), and the
+//! operators (`EX EF EG AX AF AG EU AU`), and the
 //! [`SymbolicContext::check_property`] entry point producing a verdict plus
 //! a concrete witness or counterexample firing sequence.
 //!
@@ -12,6 +12,20 @@
 //! deadlock (`AG EX true`) — can be phrased directly against the paper's
 //! encodings.
 //!
+//! # Fixpoints
+//!
+//! * `EF φ` and `E[φ U ψ]` are least fixpoints run by **backward
+//!   saturation** on the forward reachability driver, confined to `within`
+//!   (to `φ ∧ within` for `EU`: the constrained saturation of Zhao and
+//!   Ciardo, ATVA 2009) and ended by one confirming sweep over every
+//!   cluster (see `BackwardKernel`).
+//! * `EG φ` is a greatest fixpoint, iterated over whole-set pre-images.
+//! * The universal operators are evaluated by duality: `AX φ = ¬EX ¬φ`,
+//!   `AG φ = ¬EF ¬φ`, `AF φ = ¬EG ¬φ` and
+//!   `A[φ U ψ] = ¬(E[¬ψ U ¬φ∧¬ψ] ∨ EG ¬ψ)`. The evaluator rewrites `AF`
+//!   and `AU` ahead of its subterm cache, so formulas over the same target
+//!   share one `EG` core.
+//!
 //! # Path semantics at deadlocks
 //!
 //! Safe Petri nets can deadlock, so the transition relation is not total
@@ -20,18 +34,24 @@
 //! *infinite-path* semantics: `EG φ` demands an infinite run staying in
 //! `φ`, so a deadlocked state never satisfies it, and dually every
 //! universally quantified formula (`AX`, `AF`, `AG φ` over successors,
-//! `A[φ U ψ]`) holds **vacuously** at a deadlocked state. The classical
-//! dualities (`AF φ = ¬EG ¬φ`, `A[φ U ψ] = ¬(E[¬ψ U ¬φ∧¬ψ] ∨ EG ¬ψ)`) are
-//! preserved under this convention and pinned by the test suite. A
-//! deadlock itself is expressible inside the language as `!EX true`.
+//! `A[φ U ψ]`) holds **vacuously** at a deadlocked state. The dualities
+//! above hold under this convention; the tests pin them against the
+//! explicit oracle and `AU` against its least-fixpoint definition
+//! `ψ ∨ (φ ∧ AX Z)`. A deadlock itself is expressible inside the language
+//! as `!EX true`.
 
 use crate::context::SymbolicContext;
+use crate::preplan::PreImagePlan;
 use crate::property::Property;
 use crate::trace::WitnessTrace;
-use crate::traverse::{ReachabilityResult, TraversalOptions};
+use crate::traverse::{
+    run_fixpoint, top_written_level, ChainingOrder, FixpointKernel, FixpointStrategy,
+    ReachabilityResult, TraversalOptions,
+};
 use pnsym_bdd::{Interrupt, Ref, TruncationReason};
 use pnsym_net::TransitionId;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// What the optional trace attached to a [`CheckReport`] demonstrates.
@@ -93,9 +113,10 @@ pub struct PortfolioReport {
     pub subterm_lookups: u64,
 }
 
-/// The shared-subterm cache of one portfolio pass: satisfaction sets keyed
-/// by the (hashable) property subterm, valid for a single `within` set.
-/// Every cached set is protected until the pass drains the cache.
+/// The shared-subterm cache of one evaluation (a portfolio pass or one
+/// [`SymbolicContext::sat_set`] call): satisfaction sets keyed by the
+/// (hashable) property subterm, valid for a single `within` set. Every
+/// cached set is protected until the evaluation drains the cache.
 #[derive(Default)]
 struct SubtermCache {
     map: HashMap<Property, Ref>,
@@ -107,6 +128,83 @@ struct SubtermCache {
 /// them: governed callers must go through the `try_*` variants.
 const GOVERNED_CTL: &str =
     "budget breached inside an infallible CTL fixpoint; governed callers must use the try_* variants";
+
+/// The backward kernel of the shared fixpoint driver: the least fixpoint
+/// `Z = seed ∨ (constraint ∧ EX Z)` under
+/// [`FixpointStrategy::Saturation`], over the [`PreImagePlan`]'s clusters
+/// in backward order. `EF` runs it with `constraint = within`, `E[p U q]`
+/// with `constraint = p ∧ within`.
+///
+/// A cluster step is the cluster's pre-image cut down to the constraint;
+/// a productive step dirties the clusters that produce into its pre-set
+/// (the transposed forward feeds). A constraint can block the commuting
+/// path that argument relies on, so the kernel asks the driver for a
+/// confirming full sweep. Maintenance is a no-op: no garbage collection
+/// or sifting runs in the middle of a CTL evaluation, which keeps the
+/// unprotected `constraint` and the caller's sets alive.
+struct BackwardKernel<'a> {
+    ctx: &'a mut SymbolicContext,
+    plan: Rc<PreImagePlan>,
+    seed: Ref,
+    constraint: Ref,
+}
+
+impl FixpointKernel for BackwardKernel<'_> {
+    type Set = Ref;
+
+    fn empty(&self) -> Ref {
+        self.ctx.manager().zero()
+    }
+
+    fn initial(&mut self) -> Ref {
+        self.seed
+    }
+
+    fn num_clusters(&self) -> usize {
+        self.plan.num_clusters()
+    }
+
+    fn cluster_sequence(&self, _order: ChainingOrder) -> Vec<usize> {
+        self.plan.backward_order().to_vec()
+    }
+
+    fn cluster_top_level(&self, cluster: usize) -> u32 {
+        top_written_level(self.ctx, &self.plan.clusters()[cluster])
+    }
+
+    fn cluster_feeds(&self, from: usize, to: usize) -> bool {
+        self.plan.cluster_feeds(from, to)
+    }
+
+    fn confirms_fixpoint(&self) -> bool {
+        true
+    }
+
+    fn cluster_image(&mut self, cluster: usize, from: Ref) -> Result<Ref, Interrupt> {
+        let pre = self.ctx.try_cluster_pre_image(cluster, from)?;
+        self.ctx.manager_mut().try_and(pre, self.constraint)
+    }
+
+    fn union(&mut self, a: Ref, b: Ref) -> Result<Ref, Interrupt> {
+        self.ctx.manager_mut().try_or(a, b)
+    }
+
+    fn diff(&mut self, a: Ref, b: Ref) -> Result<Ref, Interrupt> {
+        self.ctx.manager_mut().try_diff(a, b)
+    }
+
+    fn checkpoint(&mut self) -> Result<(), Interrupt> {
+        self.ctx.manager_mut().force_checkpoint()
+    }
+
+    fn protect(&mut self, s: Ref) {
+        self.ctx.manager_mut().protect(s);
+    }
+
+    fn unprotect(&mut self, s: Ref) {
+        self.ctx.manager_mut().unprotect(s);
+    }
+}
 
 impl SymbolicContext {
     /// Translates a [`Property`] into the BDD of its satisfying markings.
@@ -150,7 +248,9 @@ impl SymbolicContext {
     }
 
     /// The set of markings of `within` satisfying the CTL formula
-    /// `property`, computed by bottom-up fixpoint evaluation.
+    /// `property`, computed by bottom-up fixpoint evaluation in which a
+    /// subterm occurring more than once (such as the `EG` core the `AF`
+    /// and `AU` dualities share) is evaluated once.
     ///
     /// `within` is the model: the set the path quantifiers range over,
     /// typically the reached set of
@@ -158,62 +258,10 @@ impl SymbolicContext {
     /// successors for the universal operators to be meaningful (the
     /// reached set is). The result is always a subset of `within`.
     pub fn sat_set(&mut self, property: &Property, within: Ref) -> Ref {
-        match property {
-            Property::Place(p) => {
-                let chi = self.place_fn(*p);
-                self.manager_mut().and(chi, within)
-            }
-            Property::True => within,
-            Property::False => self.manager().zero(),
-            Property::Not(a) => {
-                let fa = self.sat_set(a, within);
-                self.manager_mut().diff(within, fa)
-            }
-            Property::And(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.manager_mut().and(fa, fb)
-            }
-            Property::Or(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.manager_mut().or(fa, fb)
-            }
-            Property::Ex(a) => {
-                let fa = self.sat_set(a, within);
-                self.ex(fa, within)
-            }
-            Property::Ef(a) => {
-                let fa = self.sat_set(a, within);
-                self.ef(fa, within)
-            }
-            Property::Eg(a) => {
-                let fa = self.sat_set(a, within);
-                self.eg(fa, within)
-            }
-            Property::Ax(a) => {
-                let fa = self.sat_set(a, within);
-                self.ax(fa, within)
-            }
-            Property::Af(a) => {
-                let fa = self.sat_set(a, within);
-                self.af(fa, within)
-            }
-            Property::Ag(a) => {
-                let fa = self.sat_set(a, within);
-                self.ag(fa, within)
-            }
-            Property::Eu(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.eu(fa, fb, within)
-            }
-            Property::Au(a, b) => {
-                let fa = self.sat_set(a, within);
-                let fb = self.sat_set(b, within);
-                self.au(fa, fb, within)
-            }
-        }
+        let mut cache = SubtermCache::default();
+        let sat = self.sat_set_memo(property, within, &mut cache);
+        self.release_subterms(&mut cache);
+        sat.expect(GOVERNED_CTL)
     }
 
     /// The pre-image of `target` under transition `t`: the markings that
@@ -311,22 +359,14 @@ impl SymbolicContext {
         self.try_ef(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::ef`]: the budget is additionally
-    /// force-checked at every fixpoint iteration, so a tiny deadline
-    /// truncates deterministically even on nets too small for the
+    /// Governed [`SymbolicContext::ef`]: backward saturation from
+    /// `target ∧ within`, every step confined to `within`. The budget is
+    /// additionally force-checked at every saturation sweep, so a tiny
+    /// deadline truncates deterministically even on nets too small for the
     /// amortized in-recursion check to fire.
     pub fn try_ef(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let mut z = self.manager_mut().try_and(target, within)?;
-        loop {
-            self.manager_mut().force_checkpoint()?;
-            let pre = self.try_pre_image_all(z)?;
-            let step = self.manager_mut().try_and(pre, within)?;
-            let next = self.manager_mut().try_or(z, step)?;
-            if next == z {
-                return Ok(z);
-            }
-            z = next;
-        }
+        let seed = self.manager_mut().try_and(target, within)?;
+        self.try_backward_saturate(seed, within)
     }
 
     /// CTL `EG target` restricted to `within` (greatest fixpoint of
@@ -337,8 +377,9 @@ impl SymbolicContext {
         self.try_eg(target, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::eg`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::eg`]: a greatest-fixpoint loop over
+    /// whole-set pre-images (saturation only computes least fixpoints),
+    /// force-checking the budget at every iteration.
     pub fn try_eg(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
         let mut z = self.manager_mut().try_and(target, within)?;
         loop {
@@ -384,48 +425,52 @@ impl SymbolicContext {
         self.try_eu(hold, until, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::eu`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::eu`]: constrained backward saturation
+    /// from `until ∧ within`, every step confined to `hold ∧ within` (see
+    /// [`SymbolicContext::try_ef`] for the checkpoint discipline).
     pub fn try_eu(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let hold_w = self.manager_mut().try_and(hold, within)?;
-        let mut z = self.manager_mut().try_and(until, within)?;
-        loop {
-            self.manager_mut().force_checkpoint()?;
-            let pre = self.try_pre_image_all(z)?;
-            let step = self.manager_mut().try_and(hold_w, pre)?;
-            let next = self.manager_mut().try_or(z, step)?;
-            if next == z {
-                return Ok(z);
-            }
-            z = next;
-        }
+        let constraint = self.manager_mut().try_and(hold, within)?;
+        let seed = self.manager_mut().try_and(until, within)?;
+        self.try_backward_saturate(seed, constraint)
     }
 
-    /// CTL `A[hold U until]` restricted to `within` (least fixpoint of
-    /// `until ∨ (hold ∧ AX Z)`): states all of whose paths satisfy `hold`
-    /// until they reach `until`. Deadlocked `hold`-states satisfy it
-    /// vacuously, per the module's path semantics; the classical duality
-    /// `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)` is preserved (and pinned by
-    /// the tests).
+    /// CTL `A[hold U until]` restricted to `within`: states all of whose
+    /// paths satisfy `hold` until they reach `until`, evaluated by the
+    /// duality `A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q)`. Deadlocked
+    /// `hold`-states satisfy it vacuously, per the module's path semantics.
     pub fn au(&mut self, hold: Ref, until: Ref, within: Ref) -> Ref {
         self.try_au(hold, until, within).expect(GOVERNED_CTL)
     }
 
-    /// Governed [`SymbolicContext::au`] (see [`SymbolicContext::try_ef`]
-    /// for the per-iteration checkpoint discipline).
+    /// Governed [`SymbolicContext::au`].
     pub fn try_au(&mut self, hold: Ref, until: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let hold_w = self.manager_mut().try_and(hold, within)?;
-        let until_w = self.manager_mut().try_and(until, within)?;
-        let mut z = until_w;
-        loop {
-            self.manager_mut().force_checkpoint()?;
-            let ax_z = self.try_ax(z, within)?;
-            let step = self.manager_mut().try_and(hold_w, ax_z)?;
-            let next = self.manager_mut().try_or(until_w, step)?;
-            if next == z {
-                return Ok(z);
-            }
-            z = next;
+        let not_until = self.manager_mut().try_diff(within, until)?;
+        let neither = self.manager_mut().try_diff(not_until, hold)?;
+        let finite = self.try_eu(not_until, neither, within)?;
+        let infinite = self.try_eg(not_until, within)?;
+        let bad = self.manager_mut().try_or(finite, infinite)?;
+        self.manager_mut().try_diff(within, bad)
+    }
+
+    /// The least fixpoint of `Z = seed ∨ (constraint ∧ EX Z)`, computed by
+    /// backward saturation on the shared fixpoint driver and confirmed by
+    /// one full sweep (see [`BackwardKernel`]). A budget breach comes back
+    /// as the [`Interrupt`] that tripped it.
+    fn try_backward_saturate(&mut self, seed: Ref, constraint: Ref) -> Result<Ref, Interrupt> {
+        let plan = self.pre_image_plan();
+        let mut kernel = BackwardKernel {
+            ctx: self,
+            plan,
+            seed,
+            constraint,
+        };
+        let run = run_fixpoint(&mut kernel, FixpointStrategy::Saturation, None);
+        // The driver hands its result back protected; the CTL operators
+        // return unprotected sets like every other set-algebra call.
+        self.manager_mut().unprotect(run.reached);
+        match run.truncated {
+            None => Ok(run.reached),
+            Some(reason) => Err(Interrupt::new(reason)),
         }
     }
 
@@ -626,9 +671,7 @@ impl SymbolicContext {
             };
             reports.push(report);
         }
-        for (_, set) in cache.map.drain() {
-            self.manager_mut().unprotect(set);
-        }
+        self.release_subterms(&mut cache);
         let _ = self.manager_mut().take_budget();
         PortfolioReport {
             reports,
@@ -637,9 +680,16 @@ impl SymbolicContext {
         }
     }
 
+    /// Releases the protections of every set cached in `cache`.
+    fn release_subterms(&mut self, cache: &mut SubtermCache) {
+        for (_, set) in cache.map.drain() {
+            self.manager_mut().unprotect(set);
+        }
+    }
+
     /// Memoized, governed [`SymbolicContext::sat_set`]: the satisfaction
-    /// set of every subterm is cached (and protected) in `cache` for the
-    /// duration of one portfolio pass.
+    /// set of every subterm is cached (and protected) in `cache` until
+    /// [`SymbolicContext::release_subterms`].
     fn sat_set_memo(
         &mut self,
         property: &Property,
@@ -689,8 +739,11 @@ impl SymbolicContext {
                 self.try_ax(fa, within)?
             }
             Property::Af(a) => {
-                let fa = self.sat_set_memo(a, within, cache)?;
-                self.try_af(fa, within)?
+                // AF a = ¬EG ¬a, through the cache: the EG core is shared
+                // with `A[.. U a]` and with `EG ¬a` itself.
+                let core = Property::eg(a.as_ref().clone().not());
+                let core = self.sat_set_memo(&core, within, cache)?;
+                self.manager_mut().try_diff(within, core)?
             }
             Property::Ag(a) => {
                 let fa = self.sat_set_memo(a, within, cache)?;
@@ -702,9 +755,14 @@ impl SymbolicContext {
                 self.try_eu(fa, fb, within)?
             }
             Property::Au(a, b) => {
-                let fa = self.sat_set_memo(a, within, cache)?;
-                let fb = self.sat_set_memo(b, within, cache)?;
-                self.try_au(fa, fb, within)?
+                // A[a U b] = ¬(E[¬b U ¬a∧¬b] ∨ EG ¬b), through the cache.
+                let not_b = b.as_ref().clone().not();
+                let neither = a.as_ref().clone().not().and(not_b.clone());
+                let finite = Property::eu(not_b.clone(), neither);
+                let finite = self.sat_set_memo(&finite, within, cache)?;
+                let infinite = self.sat_set_memo(&Property::eg(not_b), within, cache)?;
+                let bad = self.manager_mut().try_or(finite, infinite)?;
+                self.manager_mut().try_diff(within, bad)?
             }
         };
         self.manager_mut().protect(result);
@@ -938,9 +996,11 @@ mod tests {
 
     #[test]
     fn au_duality_holds_with_deadlocks() {
-        // A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q) must hold under the vacuous
-        // deadlock convention; philosophers(2) has reachable deadlocks, so
-        // this exercises the non-total relation case.
+        // `au` evaluates A[p U q] = ¬(E[¬q U ¬p∧¬q] ∨ EG ¬q); the duality
+        // must agree with the operator's own least-fixpoint definition
+        // `q ∨ (p ∧ AX Z)` under the vacuous deadlock convention.
+        // philosophers(2) has reachable deadlocks, so this exercises the
+        // non-total relation case.
         let net = philosophers(2);
         let mut ctx = dense_ctx(&net);
         let reached = ctx.reachable_markings().reached;
@@ -953,13 +1013,34 @@ mod tests {
             ctx.manager_mut().and(chi, reached)
         };
         let au = ctx.au(p, q, reached);
-        let not_q = ctx.manager_mut().diff(reached, q);
-        let not_pq = ctx.manager_mut().diff(not_q, p);
-        let finite = ctx.eu(not_q, not_pq, reached);
-        let infinite = ctx.eg(not_q, reached);
-        let bad = ctx.manager_mut().or(finite, infinite);
-        let dual = ctx.manager_mut().diff(reached, bad);
-        assert_eq!(au, dual);
+        let mut z = q;
+        loop {
+            let ax_z = ctx.ax(z, reached);
+            let step = ctx.manager_mut().and(p, ax_z);
+            let next = ctx.manager_mut().or(q, step);
+            if next == z {
+                break;
+            }
+            z = next;
+        }
+        assert_eq!(au, z);
+    }
+
+    #[test]
+    fn direct_fixpoint_calls_keep_protections_balanced() {
+        // The saturating `ef`/`eu` (and `af`/`au` through their dualities)
+        // get their result back protected from the fixpoint driver and
+        // must release that protection exactly once.
+        let net = philosophers(2);
+        let mut ctx = dense_ctx(&net);
+        let reached = ctx.reachable_markings().reached;
+        let eating0 = ctx.place_fn(net.place_by_name("eating.0").unwrap());
+        let idle1 = ctx.place_fn(net.place_by_name("idle.1").unwrap());
+        use crate::trace::assert_protections_balanced as balanced;
+        balanced(&mut ctx, |ctx| ctx.ef(eating0, reached));
+        balanced(&mut ctx, |ctx| ctx.eu(idle1, eating0, reached));
+        balanced(&mut ctx, |ctx| ctx.af(eating0, reached));
+        balanced(&mut ctx, |ctx| ctx.au(idle1, eating0, reached));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Precomputed pre-image plans: the per-transition BDD artefacts of the
-//! backward image computation, built **once** per context — the backward
-//! mirror of [`crate::plan::ImagePlan`].
+//! Pre-image plans: the backward view of the per-context
+//! [`ImagePlan`].
 //!
 //! Under every encoding of this crate a transition drives the variables it
 //! writes to constants (eq. 6), so its *pre-image* is
@@ -8,178 +7,90 @@
 //! written-variable set and `T_t` the cube of target constants — the same
 //! three artefacts the forward image uses, composed in the opposite order
 //! (constrain by the target cube, quantify the written variables, then
-//! conjoin the enabling function). The naive checker rebuilt `W_t` and
-//! `T_t` on every call of every CTL fixpoint iteration; the
-//! [`PreImagePlan`] precomputes them per transition, protects them across
-//! garbage collection, and groups transitions whose written sets coincide
-//! into [`PreImageCluster`]s so the shared quantification cube is built
-//! (and walked) once per cluster.
+//! conjoin the enabling function). The [`PreImagePlan`] therefore builds no
+//! artefacts of its own: it shares the forward plan's clusters (and their
+//! GC protections) and adds only what differs between the directions.
 //!
-//! The plan also carries a *backward* static order: clusters sorted by
-//! **descending** structural rank, so a backward chaining pass pulls
-//! target sets against the net's flow, mirroring how the forward chained
-//! strategy pushes tokens along it.
+//! * A *backward* static order: clusters sorted by **descending**
+//!   structural rank, so a backward pass pulls target sets against the
+//!   net's flow, mirroring how the forward chained strategy pushes tokens
+//!   along it.
+//! * The *transposed* feeds relation ([`PreImagePlan::cluster_feeds`]) the
+//!   backward saturation scheduler dirties clusters by.
 
-use crate::context::SymbolicContext;
-use crate::plan::structural_transition_ranks;
-use pnsym_bdd::{Ref, VarId};
+use crate::plan::{ImageCluster, ImagePlan, PlannedTransition};
 use pnsym_net::TransitionId;
-use std::collections::HashMap;
+use std::rc::Rc;
 
-/// One transition's precomputed backward artefacts inside a cluster.
-#[derive(Debug, Clone, Copy)]
-pub struct PrePlannedTransition {
-    /// The transition.
-    pub transition: TransitionId,
-    /// Its enabling function `E_t` (eq. 5), over the current variables.
-    pub enabling: Ref,
-    /// The cube of target constants `T_t` (eq. 6) the transition drives its
-    /// written variables to; the pre-image constrains the target set by it
-    /// before quantification.
-    pub target: Ref,
-}
-
-/// A group of transitions writing exactly the same set of state variables,
-/// sharing one quantification cube for the backward relational product.
-#[derive(Debug, Clone)]
-pub struct PreImageCluster {
-    /// The written state-variable indices, sorted ascending.
-    pub var_indices: Vec<usize>,
-    /// Positive cube over the written *current* BDD variables, quantified
-    /// out of `S ∧ T_t` by a single cube walk per member.
-    pub quant_cube: Ref,
-    /// The member transitions, in ascending transition order.
-    pub members: Vec<PrePlannedTransition>,
-    /// Structural rank of the cluster: the minimum breadth-first distance
-    /// of any member's pre-set from the initially marked places. Backward
-    /// passes visit clusters in **descending** rank.
-    pub rank: usize,
-}
-
-/// The per-context pre-image plan: clusters of precomputed backward
-/// transition artefacts plus the static backward order.
+/// The per-context pre-image plan: the forward plan's clusters plus the
+/// static backward order.
 ///
-/// Built once by [`SymbolicContext::pre_image_plan`]; every [`Ref`] it
-/// holds is protected in the context's manager, so the plan survives
-/// garbage collection and dynamic reordering for the lifetime of the
-/// context.
+/// Built once by [`SymbolicContext::pre_image_plan`](crate::SymbolicContext::pre_image_plan)
+/// over the memoized forward plan; every [`Ref`](pnsym_bdd::Ref) it exposes
+/// is protected in the context's manager, so the plan survives garbage
+/// collection and dynamic reordering for the lifetime of the context.
 #[derive(Debug, Clone)]
 pub struct PreImagePlan {
-    clusters: Vec<PreImageCluster>,
+    forward: Rc<ImagePlan>,
     /// Cluster indices sorted by descending structural rank (the backward
     /// chaining order).
     backward_order: Vec<usize>,
-    /// `location_of[t] = (cluster, member)` for every transition `t`.
-    location_of: Vec<(usize, usize)>,
 }
 
 impl PreImagePlan {
-    /// Builds the plan for `ctx`: one cluster per distinct written-variable
-    /// set, with enabling functions, quantification cubes and target cubes
-    /// precomputed and protected in the context's manager.
-    pub(crate) fn build(ctx: &mut SymbolicContext) -> PreImagePlan {
-        let num_transitions = ctx.net().num_transitions();
-        let ranks = structural_transition_ranks(ctx.net());
-
-        // Group transitions by their written-variable set.
-        let mut groups: HashMap<Vec<usize>, Vec<TransitionId>> = HashMap::new();
-        for ti in 0..num_transitions {
-            let t = TransitionId(ti as u32);
-            let written: Vec<usize> = ctx
-                .transition_effect(t)
-                .assignments
-                .iter()
-                .map(|&(i, _)| i)
-                .collect();
-            groups.entry(written).or_default().push(t);
-        }
-        let mut keyed: Vec<(Vec<usize>, Vec<TransitionId>)> = groups.into_iter().collect();
-        // Deterministic cluster order: by first member transition.
-        keyed.sort_by_key(|(_, ts)| ts.iter().map(|t| t.index()).min());
-
-        let mut clusters = Vec::with_capacity(keyed.len());
-        let mut location_of = vec![(0usize, 0usize); num_transitions];
-        for (var_indices, transitions) in keyed {
-            let quant_vars: Vec<VarId> =
-                var_indices.iter().map(|&i| ctx.current_vars()[i]).collect();
-            let quant_cube = {
-                let m = ctx.manager_mut();
-                let cube = m.var_cube(&quant_vars);
-                m.protect(cube);
-                cube
-            };
-            let mut members = Vec::with_capacity(transitions.len());
-            let mut rank = usize::MAX;
-            for t in transitions {
-                let enabling = ctx.enabling_fn(t);
-                let lits: Vec<(VarId, bool)> = ctx
-                    .transition_effect(t)
-                    .assignments
-                    .iter()
-                    .map(|&(i, value)| (ctx.current_vars()[i], value))
-                    .collect();
-                let target = {
-                    let m = ctx.manager_mut();
-                    let cube = m.cube(&lits);
-                    m.protect(cube);
-                    cube
-                };
-                rank = rank.min(ranks[t.index()]);
-                location_of[t.index()] = (clusters.len(), members.len());
-                members.push(PrePlannedTransition {
-                    transition: t,
-                    enabling,
-                    target,
-                });
-            }
-            clusters.push(PreImageCluster {
-                var_indices,
-                quant_cube,
-                members,
-                rank,
-            });
-        }
-
+    /// The backward view of `forward`. Cluster indices are the forward
+    /// plan's, so the two plans number their clusters identically.
+    pub(crate) fn new(forward: Rc<ImagePlan>) -> PreImagePlan {
+        let clusters = forward.clusters();
         let mut backward_order: Vec<usize> = (0..clusters.len()).collect();
         backward_order.sort_by_key(|&c| (usize::MAX - clusters[c].rank, c));
         PreImagePlan {
-            clusters,
+            forward,
             backward_order,
-            location_of,
         }
     }
 
-    /// The clusters, in ascending first-member transition order.
-    pub fn clusters(&self) -> &[PreImageCluster] {
-        &self.clusters
+    /// The clusters (shared with the forward plan), in ascending
+    /// first-member transition order.
+    pub fn clusters(&self) -> &[ImageCluster] {
+        self.forward.clusters()
     }
 
     /// Number of clusters (distinct written-variable sets).
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.forward.num_clusters()
     }
 
     /// Cluster indices in the static backward order (descending structural
-    /// rank; see [`PreImageCluster::rank`]).
+    /// rank; see [`ImageCluster::rank`]).
     pub fn backward_order(&self) -> &[usize] {
         &self.backward_order
     }
 
     /// The `(cluster, member)` location of transition `t` in the plan.
     pub fn location_of(&self, t: TransitionId) -> (usize, usize) {
-        self.location_of[t.index()]
+        self.forward.location_of(t)
     }
 
-    /// The planned backward artefacts of transition `t`.
-    pub fn planned(&self, t: TransitionId) -> (&PreImageCluster, &PrePlannedTransition) {
-        let (c, m) = self.location_of(t);
-        (&self.clusters[c], &self.clusters[c].members[m])
+    /// The planned artefacts of transition `t`.
+    pub fn planned(&self, t: TransitionId) -> (&ImageCluster, &PlannedTransition) {
+        self.forward.planned(t)
+    }
+
+    /// Whether a productive backward step of cluster `from` can make a
+    /// pre-image of cluster `to` newly productive: the transpose of
+    /// [`ImagePlan::cluster_feeds`] (some member of `to` produces into the
+    /// pre-set of a member of `from`). States added by `from` enable a
+    /// member of `from`, so only transitions producing into that pre-set
+    /// lead into them without commuting past `from`.
+    pub fn cluster_feeds(&self, from: usize, to: usize) -> bool {
+        self.forward.cluster_feeds(to, from)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::context::SymbolicContext;
     use crate::encoding::{AssignmentStrategy, Encoding};
     use pnsym_net::nets::{figure1, philosophers};
     use pnsym_structural::find_smcs;
@@ -201,16 +112,19 @@ mod tests {
                 assert_eq!(planned.transition, t);
                 assert_eq!(planned.enabling, ctx.enabling_fn(t));
             }
-            assert_eq!(plan.backward_order().len(), plan.num_clusters());
+            let mut order = plan.backward_order().to_vec();
+            order.sort_unstable();
+            assert_eq!(order, (0..plan.num_clusters()).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn backward_plan_mirrors_the_forward_plan() {
-        // The backward artefacts of every transition coincide with the
-        // forward ones (both plans precompute E_t, T_t and the written-set
-        // cube); what differs is the composition order at use sites and the
-        // static cluster order, which is reversed by rank.
+        // The backward plan is a view: it shares the forward clusters
+        // (enabling functions, target cubes, quantification cubes and
+        // written sets) instead of rebuilding them; what differs is the
+        // static cluster order, reversed by rank, and the feeds relation,
+        // transposed.
         let net = figure1();
         let smcs = find_smcs(&net).unwrap();
         let mut ctx = SymbolicContext::new(
@@ -219,14 +133,17 @@ mod tests {
         );
         let forward = ctx.image_plan();
         let backward = ctx.pre_image_plan();
-        assert_eq!(forward.num_clusters(), backward.num_clusters());
+        assert!(std::ptr::eq(forward.clusters(), backward.clusters()));
         for t in net.transitions() {
-            let (fc, fp) = forward.planned(t);
-            let (bc, bp) = backward.planned(t);
-            assert_eq!(fp.enabling, bp.enabling);
-            assert_eq!(fp.target, bp.target);
-            assert_eq!(fc.quant_cube, bc.quant_cube);
-            assert_eq!(fc.var_indices, bc.var_indices);
+            assert_eq!(forward.location_of(t), backward.location_of(t));
+        }
+        for from in 0..forward.num_clusters() {
+            for to in 0..forward.num_clusters() {
+                assert_eq!(
+                    backward.cluster_feeds(from, to),
+                    forward.cluster_feeds(to, from)
+                );
+            }
         }
         // The backward order visits ranks in non-increasing order.
         let ranks: Vec<usize> = backward

@@ -31,7 +31,7 @@
 //!   (see PAPERS.md).
 
 use crate::context::SymbolicContext;
-use crate::plan::ImagePlan;
+use crate::plan::{ImageCluster, ImagePlan};
 use pnsym_bdd::{Budget, Interrupt, Ref, SiftConfig, TruncationReason};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -392,12 +392,28 @@ pub(crate) trait FixpointKernel {
     /// Whether firing `from` can newly enable a transition of `to`
     /// (structurally: some member of `from` produces into the pre-set of a
     /// member of `to`). [`FixpointStrategy::Saturation`] terminates as
-    /// soon as no cluster is dirty, with no confirming image pass, so this
-    /// relation is **load-bearing for soundness**: it must include every
-    /// pair where a firing of `from` can mark a pre-place of `to` (an
-    /// over-approximation is fine and only costs redundant sweeps; a
-    /// missed pair silently truncates the fixpoint).
+    /// soon as no cluster is dirty, with no confirming image pass unless
+    /// [`FixpointKernel::confirms_fixpoint`] asks for one, so for forward
+    /// reachability this relation is **load-bearing for soundness**: it
+    /// must include every pair where a firing of `from` can mark a
+    /// pre-place of `to` (an over-approximation is fine and only costs
+    /// redundant sweeps; a missed pair silently truncates the fixpoint).
+    ///
+    /// The exception is a *constrained* run, whose images are cut down to
+    /// a constraint set (the backward `E[p U q]` kernel of the CTL
+    /// checker): there a firing can become productive without any feeding
+    /// cluster changing (the commuting path runs through a state outside
+    /// the constraint), so the relation is only a scheduling hint and the
+    /// kernel must turn on the confirming sweep.
     fn cluster_feeds(&self, from: usize, to: usize) -> bool;
+    /// Whether [`FixpointStrategy::Saturation`] must confirm its fixpoint
+    /// with one full sweep over every cluster once nothing is dirty; a
+    /// productive sweep re-dirties every cluster and saturation resumes.
+    /// Off by default: forward reachability is sound on
+    /// [`FixpointKernel::cluster_feeds`] alone and pays no extra pass.
+    fn confirms_fixpoint(&self) -> bool {
+        false
+    }
     /// The image of `from` under every transition of `cluster`, or a typed
     /// [`Interrupt`] when the backend's budget breached mid-computation.
     /// On `Err` the backend must be left consistent: every completed node
@@ -629,13 +645,39 @@ fn saturation<K: FixpointKernel>(
     // firings stop feeding it — before any higher level fires, so the
     // deep tail of the diagram is saturated while it is still small, and
     // higher clusters only re-fire when a lower level changed under them.
-    // The fixpoint is reached when nothing is dirty; clean clusters are
-    // provably saturated (a transition newly enabled by a later firing
-    // has a feeding ancestor that re-dirtied it), so no confirming image
-    // pass is needed at all.
+    // The fixpoint is reached when nothing is dirty; for an unconstrained
+    // kernel clean clusters are provably saturated (a transition newly
+    // enabled by a later firing has a feeding ancestor that re-dirtied
+    // it), so no confirming image pass is needed at all. Kernels that
+    // constrain their images ask for one (`confirms_fixpoint`).
     let mut dirty = vec![true; num_clusters];
     let mut dirty_level = vec![true; levels.len()];
-    'outer: while dirty_level.iter().any(|&d| d) {
+    'outer: loop {
+        if !dirty_level.iter().any(|&d| d) {
+            if !kernel.confirms_fixpoint() {
+                break;
+            }
+            // Confirming sweep: fire every cluster once on the settled
+            // set. Nothing new means the set is closed under every image;
+            // anything new re-dirties every cluster and saturation resumes.
+            governed!(truncated, 'outer, kernel.checkpoint());
+            let mut changed = false;
+            for &cluster in levels.iter().flatten() {
+                let img = governed!(truncated, 'outer, kernel.cluster_image(cluster, reached));
+                let next_reached = governed!(truncated, 'outer, kernel.union(reached, img));
+                if next_reached != reached {
+                    kernel.protect(next_reached);
+                    kernel.unprotect(reached);
+                    reached = next_reached;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            dirty.fill(true);
+            dirty_level.fill(true);
+        }
         for li in 0..levels.len() {
             if !dirty_level[li] {
                 continue;
@@ -711,6 +753,20 @@ fn saturation<K: FixpointKernel>(
     }
 }
 
+/// The topmost (smallest) level, in the present variable order, among the
+/// *current* variables `cluster` writes; `u32::MAX` for a cluster writing
+/// nothing. The saturation driver re-reads it whenever
+/// [`FixpointKernel::order_generation`] reports a reordering.
+pub(crate) fn top_written_level(ctx: &SymbolicContext, cluster: &ImageCluster) -> u32 {
+    let manager = ctx.manager();
+    cluster
+        .var_indices
+        .iter()
+        .map(|&i| manager.level_of(ctx.current_vars()[i]))
+        .min()
+        .unwrap_or(u32::MAX)
+}
+
 /// A pass-boundary observer for
 /// [`SymbolicContext::reachable_markings_observed`]: receives the context,
 /// the (protected) partial reached set and the 1-based pass count at every
@@ -763,16 +819,7 @@ impl FixpointKernel for BddFixpointKernel<'_, '_> {
     }
 
     fn cluster_top_level(&self, cluster: usize) -> u32 {
-        // The topmost *current* variable the cluster writes, at its level
-        // in the present order (the saturation driver re-reads the levels
-        // whenever order_generation reports a reordering).
-        let manager = self.ctx.manager();
-        self.plan.clusters()[cluster]
-            .var_indices
-            .iter()
-            .map(|&i| manager.level_of(self.ctx.current_vars()[i]))
-            .min()
-            .unwrap_or(u32::MAX)
+        top_written_level(self.ctx, &self.plan.clusters()[cluster])
     }
 
     fn cluster_feeds(&self, from: usize, to: usize) -> bool {

@@ -261,11 +261,53 @@ fn witness_traces_demonstrate_their_verdicts() {
     }
 }
 
+/// Constrained `E[p U q]` saturation needs its confirming sweep. On this
+/// net (two independent cycles, no synchronisation) the `hold` constraint
+/// blocks the commuting path the transposed feeds rely on, so a backward
+/// saturation that stops as soon as no cluster is dirty misses states of
+/// the fixpoint.
+#[test]
+fn constrained_until_saturation_reaches_the_full_fixpoint() {
+    let net = random_composed(
+        RandomNetConfig {
+            components: 2,
+            min_places: 2,
+            max_places: 5,
+            synchronisations: 0,
+        },
+        20,
+    );
+    let rg = net.explore().expect("composed nets are safe and small");
+    let checker = ExplicitChecker::new(&net, &rg);
+    let prop = Property::parse("E[!s0.0 U s0.0 & s1.0]", &net).expect("places exist");
+    let explicit = checker.sat(&prop);
+    for enc in encodings(&net) {
+        let mut ctx = SymbolicContext::new(&net, enc);
+        let reached = ctx.reachable_markings().reached;
+        let sat = ctx.sat_set(&prop, reached);
+        for (i, m) in rg.markings().iter().enumerate() {
+            assert_eq!(
+                ctx.set_contains(sat, m),
+                explicit[i],
+                "{:?}: `{}` at {}",
+                ctx.encoding().scheme(),
+                prop.display(&net),
+                m
+            );
+        }
+    }
+}
+
 /// Formula templates instantiated with random place indices; covers every
-/// operator with nested boolean structure.
+/// operator with nested boolean structure. `p` counts places from the
+/// first component and `q` from the last, so the compound-`hold` until
+/// templates (10, 11) ask for a target spanning two components while the
+/// constraint blocks the first: the cases whose backward saturation needs
+/// the confirming sweep.
 fn template_formula(which: usize, places: &[Property]) -> Property {
     let p = |i: usize| places[i % places.len()].clone();
-    match which % 10 {
+    let q = |i: usize| places[places.len() - 1 - i % places.len()].clone();
+    match which % 12 {
         0 => Property::ef(p(0).and(p(1))),
         1 => Property::ag(p(0).implies(Property::ef(p(1)))),
         2 => Property::eu(p(0).not(), p(1)),
@@ -275,7 +317,9 @@ fn template_formula(which: usize, places: &[Property]) -> Property {
         6 => Property::ax(p(0).or(p(1))),
         7 => Property::ex(Property::ex(p(2))),
         8 => Property::au(Property::True, p(0).and(p(1)).not()),
-        _ => Property::eg(Property::ef(p(1))),
+        9 => Property::eg(Property::ef(p(1))),
+        10 => Property::eu(p(0).not().or(p(1)).and(p(2).not()), p(0).and(q(0))),
+        _ => Property::eu(p(0).not().and(p(1).not().or(q(1))), p(0).and(q(0))),
     }
 }
 
@@ -290,7 +334,7 @@ proptest! {
         seed in 0u64..1_000_000,
         components in 2usize..4,
         syncs in 0usize..3,
-        which in 0usize..10,
+        which in 0usize..12,
     ) {
         let net = random_composed(
             RandomNetConfig {
