@@ -45,10 +45,6 @@ pub enum TruncationReason {
     StepBudget,
     /// A deterministic fault from the `fault-inject` schedule fired.
     InjectedFault,
-    /// A parallel worker died (panic or injected spawn/import failure) and
-    /// the pass was abandoned; the owner's manager remains usable for a
-    /// sequential retry.
-    WorkerLoss,
 }
 
 impl fmt::Display for TruncationReason {
@@ -59,7 +55,6 @@ impl fmt::Display for TruncationReason {
             TruncationReason::NodeBudget => "NodeBudget",
             TruncationReason::StepBudget => "StepBudget",
             TruncationReason::InjectedFault => "InjectedFault",
-            TruncationReason::WorkerLoss => "WorkerLoss",
         };
         f.write_str(s)
     }
@@ -99,31 +94,23 @@ pub enum FaultSite {
     TableGrowth,
     /// The computed cache grew its entry array.
     CacheGrowth,
-    /// A worker replica imported the shared artefacts or a frontier.
-    ReplicaImport,
-    /// The owner spawned a parallel worker.
-    WorkerSpawn,
 }
 
 #[cfg(feature = "fault-inject")]
 impl FaultSite {
-    const COUNT: usize = 4;
+    const COUNT: usize = 2;
 
     fn index(self) -> usize {
         match self {
             FaultSite::TableGrowth => 0,
             FaultSite::CacheGrowth => 1,
-            FaultSite::ReplicaImport => 2,
-            FaultSite::WorkerSpawn => 3,
         }
     }
 
     fn from_index(i: usize) -> Self {
         match i {
             0 => FaultSite::TableGrowth,
-            1 => FaultSite::CacheGrowth,
-            2 => FaultSite::ReplicaImport,
-            _ => FaultSite::WorkerSpawn,
+            _ => FaultSite::CacheGrowth,
         }
     }
 }
@@ -132,18 +119,13 @@ impl FaultSite {
 ///
 /// Each armed site carries a countdown: the fault fires on the `n`-th event
 /// observed at that site (table/cache growths are observed at the next
-/// checkpoint after the growth, replica imports and worker spawns at the
-/// call site). Because the kernel's event sequence is deterministic for a
-/// given query, the same schedule trips at the same point on every run.
-/// The optional `worker_panic` entry makes one parallel worker panic at a
-/// given pass, exercising the pool's panic-capture path.
+/// checkpoint after the growth). Because the kernel's event sequence is
+/// deterministic for a given query, the same schedule trips at the same
+/// point on every run.
 #[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSchedule {
     countdown: [Option<u32>; FaultSite::COUNT],
-    /// Make worker `worker_panic.0` panic at (0-based) parallel pass
-    /// `worker_panic.1`.
-    pub worker_panic: Option<(usize, u32)>,
 }
 
 #[cfg(feature = "fault-inject")]
@@ -172,9 +154,9 @@ impl FaultSchedule {
         FaultSchedule::default().trip(site, nth)
     }
 
-    /// Whether any site (or the worker panic) is armed.
+    /// Whether any site is armed.
     pub fn is_armed(&self) -> bool {
-        self.worker_panic.is_some() || self.countdown.iter().any(|c| c.is_some())
+        self.countdown.iter().any(|c| c.is_some())
     }
 
     /// Records `count` events at `site`; returns `true` when the armed
@@ -291,9 +273,6 @@ impl DiskFaultSchedule {
 }
 
 /// The resource envelope of one governed query.
-///
-/// Cheap to copy: parallel workers receive a copy sharing the same absolute
-/// deadline, so all replicas of a query expire together.
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
     deadline: Option<Instant>,
@@ -373,8 +352,8 @@ impl Budget {
         self.breached
     }
 
-    /// Records a breach observed outside the budget's own checks (e.g. a
-    /// worker loss). The first recorded reason wins and stays sticky.
+    /// Records a breach observed outside the budget's own checks. The
+    /// first recorded reason wins and stays sticky.
     pub fn note_breach(&mut self, reason: TruncationReason) {
         if self.breached.is_none() {
             self.breached = Some(reason);
@@ -484,10 +463,13 @@ mod tests {
     #[test]
     fn noted_breach_wins_and_is_first_reason() {
         let mut b = Budget::new().with_step_ceiling(0);
-        b.note_breach(TruncationReason::WorkerLoss);
+        b.note_breach(TruncationReason::InjectedFault);
         b.note_breach(TruncationReason::Deadline);
-        assert_eq!(b.breached(), Some(TruncationReason::WorkerLoss));
-        assert_eq!(b.check(0).unwrap_err().reason, TruncationReason::WorkerLoss);
+        assert_eq!(b.breached(), Some(TruncationReason::InjectedFault));
+        assert_eq!(
+            b.check(0).unwrap_err().reason,
+            TruncationReason::InjectedFault
+        );
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl BddManager {
         Ref(f.0 ^ 1)
     }
 
-    /// Fallible [`BddManager::not`]; kept for API symmetry — negation is a
-    /// bit flip and never observes the budget.
-    pub fn try_not(&mut self, f: Ref) -> Result<Ref, Interrupt> {
-        Ok(Ref(f.0 ^ 1))
-    }
-
     /// Conjunction `f ∧ g`.
     pub fn and(&mut self, f: Ref, g: Ref) -> Ref {
         self.try_and(f, g).expect(UNGOVERNED)
@@ -1031,7 +1025,6 @@ mod tests {
     fn ungoverned_managers_never_interrupt() {
         let (mut m, f, g) = wide_setup(16);
         assert!(m.try_and(f, g).is_ok());
-        assert!(m.try_not(f).is_ok());
         assert!(m.budget().is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Subgraph transfer between managers: a compact, manager-independent
-//! serialization of a set of BDD roots, used by the parallel traversal to
-//! ship source sets and partial images between the owning manager and its
-//! worker-thread replicas.
+//! serialization of a set of BDD roots, which the daemon's snapshots write
+//! to disk and import back into a fresh context.
 //!
 //! A [`SerializedBdd`] is a bottom-up node-arena slice: children always
 //! precede parents, references are packed *edges* over slice-local serial
@@ -428,19 +427,17 @@ impl BddManager {
     }
 }
 
-/// Builds an empty replica manager matching the serialized variable order,
-/// ready to [`import_subgraph`](BddManager::import_subgraph) from the same
-/// source. Used to set up the per-thread shard managers of the parallel
-/// traversal.
-pub fn replica_manager(serialized: &SerializedBdd) -> BddManager {
-    let mut m = BddManager::with_vars(serialized.num_vars());
-    m.reorder_to(&serialized.order());
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An empty manager under the serialized variable order, ready to
+    /// import from the same source.
+    fn replica_manager(serialized: &SerializedBdd) -> BddManager {
+        let mut m = BddManager::with_vars(serialized.num_vars());
+        m.reorder_to(&serialized.order());
+        m
+    }
 
     fn sample(m: &mut BddManager) -> Ref {
         let v = m.variables();

@@ -1,14 +1,12 @@
 //! Criterion bench comparing the fixpoint strategies of the shared
-//! traversal driver: breadth-first (frontier and full) against chained
-//! firing in structural order, level saturation and the 2-thread parallel
-//! cluster-image traversal, on the dense encoding of each CI-sized table-3
-//! family. The `experiments strategies`
+//! traversal driver: breadth-first (frontier and full) against level
+//! saturation, on the dense encoding of each CI-sized table-3 family. The `experiments strategies`
 //! subcommand prints the same comparison with marking-count cross-checks;
 //! this bench feeds the criterion medians tracked across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pnsym_bench::{table3_workloads, Scale};
-use pnsym_core::{analyze, AnalysisOptions, ChainingOrder, FixpointStrategy};
+use pnsym_core::{analyze, AnalysisOptions, FixpointStrategy};
 use std::time::Duration;
 
 fn bench_strategy_sweep(c: &mut Criterion) {
@@ -24,14 +22,7 @@ fn bench_strategy_sweep(c: &mut Criterion) {
                 use_frontier: false,
             },
         ),
-        (
-            "chaining",
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
-            },
-        ),
         ("saturation", FixpointStrategy::Saturation),
-        ("parallel-2", FixpointStrategy::Parallel { threads: 2 }),
     ];
     for workload in table3_workloads(Scale::Default) {
         // Skip the largest instances so the whole suite stays within a few

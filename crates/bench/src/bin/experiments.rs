@@ -8,9 +8,8 @@
 //! experiments fig2                     encoding / toggling comparison (Figure 2, Section 3)
 //! experiments table1                   the 2-philosopher encoding (Tables 1-2, Figure 3/4)
 //! experiments ablation                 Gray vs binary codes, basic vs improved cover, sifting
-//! experiments strategies               Bfs vs Chaining vs Saturation fixpoint strategies per net
+//! experiments strategies               Bfs vs Saturation fixpoint strategies per net
 //! experiments orders                   BFS-distance vs toggling-chosen static variable order
-//! experiments scaling                  parallel traversal thread-scaling curves (Table-4 nets)
 //! experiments properties               CTL property suites of the bundled nets
 //! experiments check <props-file>       run a property file against its nets (or --check=FILE)
 //! experiments all [--paper-scale]      everything above except `check`
@@ -19,12 +18,9 @@
 //!
 //! Run with `cargo run --release -p pnsym-bench --bin experiments -- all`.
 //!
-//! `--strategy=bfs|bfs-full|chaining|chaining-index|saturation|parallel`
-//! selects the fixpoint strategy used by the table3/table4/smoke/properties/
-//! check analyses (default `bfs`); `--threads=N` sets the worker count of
-//! the `parallel` strategy (default 2). The `strategies` command always
-//! compares Bfs, Chaining and Saturation per net; `scaling` compares the
-//! parallel strategy at 1, 2 and 4 threads.
+//! `--strategy=bfs|bfs-full|saturation` selects the fixpoint strategy used
+//! by the table3/table4/smoke/properties/check analyses (default `bfs`).
+//! The `strategies` command always compares Bfs and Saturation per net.
 //!
 //! `--order=bfs|toggling` picks the static variable order of the
 //! table3/table4/smoke analyses (default `bfs`, the encoding's structural
@@ -64,13 +60,12 @@
 //! eating-not-fated:   fails  AF eating.0
 //! ```
 
-use pnsym_bench::json::Value;
 use pnsym_bench::{net_by_spec, table3_workloads, table4_workloads, Scale, Workload};
+use pnsym_core::server::Json;
 use pnsym_core::{
     analyze, analyze_zdd_governed, analyze_zdd_with, toggling_activity, toggling_of_state_codes,
-    AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, ChainingOrder, Encoding,
-    FixpointStrategy, Property, SiftPolicy, SymbolicContext, TraversalOptions, VariableOrder,
-    ZddAnalysisReport,
+    AnalysisOptions, AnalysisReport, AssignmentStrategy, Budget, Encoding, FixpointStrategy,
+    Property, SiftPolicy, SymbolicContext, TraversalOptions, VariableOrder, ZddAnalysisReport,
 };
 use pnsym_net::nets::{
     dme, figure1, muller, philosophers, property_suite, slotted_ring, DmeStyle, PropertySpec,
@@ -145,24 +140,6 @@ fn parse_budget_duration(s: &str) -> Option<Duration> {
         .map(|n| Duration::from_nanos(n.saturating_mul(nanos_per_unit)))
 }
 
-fn parse_strategy(name: &str, threads: usize) -> Option<FixpointStrategy> {
-    match name {
-        "bfs" => Some(FixpointStrategy::Bfs { use_frontier: true }),
-        "bfs-full" => Some(FixpointStrategy::Bfs {
-            use_frontier: false,
-        }),
-        "chaining" => Some(FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        }),
-        "chaining-index" => Some(FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
-        }),
-        "saturation" => Some(FixpointStrategy::Saturation),
-        "parallel" => Some(FixpointStrategy::Parallel { threads }),
-        _ => None,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
@@ -178,20 +155,10 @@ fn main() {
             a.strip_prefix("--json=").map(str::to_string)
         }
     });
-    let threads: usize = match args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        None => 2,
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--threads={n}: expected a positive integer");
-            std::process::exit(2);
-        }),
-    };
     let strategy = match args.iter().find_map(|a| a.strip_prefix("--strategy=")) {
         None => FixpointStrategy::default(),
-        Some(name) => parse_strategy(name, threads).unwrap_or_else(|| {
-            eprintln!(
-                "unknown strategy `{name}` \
-                 (expected bfs|bfs-full|chaining|chaining-index|saturation|parallel)"
-            );
+        Some(name) => name.parse().unwrap_or_else(|err| {
+            eprintln!("{err} (expected bfs|bfs-full|saturation)");
             std::process::exit(2);
         }),
     };
@@ -233,7 +200,7 @@ fn main() {
         .collect();
     let command = non_flags.first().copied();
 
-    let mut records: Vec<Value> = Vec::new();
+    let mut records: Vec<Json> = Vec::new();
     match command {
         Some("table3") => table3(scale, strategy, order, budgets, &mut records),
         Some("table4") => table4(scale, strategy, order, budgets, &mut records),
@@ -242,7 +209,6 @@ fn main() {
         Some("ablation") => ablation(),
         Some("strategies") => strategies(scale, &mut records),
         Some("orders") => orders(scale, &mut records),
-        Some("scaling") => scaling(scale, &mut records),
         Some("properties") => properties(strategy, budgets, &mut records),
         Some("smoke") => smoke(strategy, order, budgets, &mut records),
         Some("check") => {
@@ -275,9 +241,8 @@ fn main() {
             eprintln!("unknown command `{other}`");
             eprintln!(
                 "usage: experiments \
-                 [table3|table4|fig2|table1|ablation|strategies|orders|scaling|properties|check|\
-                 smoke|all] \
-                 [--paper-scale] [--strategy=NAME] [--threads=N] [--order=bfs|toggling] \
+                 [table3|table4|fig2|table1|ablation|strategies|orders|properties|check|smoke|all] \
+                 [--paper-scale] [--strategy=NAME] [--order=bfs|toggling] \
                  [--json[=PATH]] [--check=FILE] [--time-budget=DUR] [--node-budget=N]"
             );
             std::process::exit(2);
@@ -292,27 +257,30 @@ fn main() {
             eprintln!("--json: no per-net records produced by this command; not writing {path}");
             return;
         }
-        let doc = Value::object(vec![
-            ("schema", Value::Str("pnsym-experiments-v1".into())),
+        let doc = Json::object(vec![
+            ("schema", Json::Str("pnsym-experiments-v1".into())),
             (
                 "scale",
-                Value::Str(if paper_scale { "paper" } else { "default" }.into()),
+                Json::Str(if paper_scale { "paper" } else { "default" }.into()),
             ),
             (
                 "time_budget_ms",
-                budgets.time.map_or(Value::Str("none".into()), |d| {
-                    Value::Float(d.as_secs_f64() * 1e3)
+                budgets.time.map_or(Json::Str("none".into()), |d| {
+                    Json::Float(d.as_secs_f64() * 1e3)
                 }),
             ),
             (
                 "node_budget",
                 budgets
                     .nodes
-                    .map_or(Value::Str("none".into()), |n| Value::UInt(n as u64)),
+                    .map_or(Json::Str("none".into()), |n| Json::Int(n as i64)),
             ),
-            ("records", Value::Array(records)),
+            ("records", Json::Arr(records)),
         ]);
-        match std::fs::write(&path, doc.to_json() + "\n") {
+        let mut text = String::new();
+        doc.write(&mut text);
+        text.push('\n');
+        match std::fs::write(&path, text) {
             Ok(()) => println!("\nwrote {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
@@ -323,69 +291,69 @@ fn main() {
 }
 
 /// One machine-readable record per (experiment, net, scheme) BDD run.
-fn bdd_record(experiment: &str, net: &str, scheme: &str, r: &AnalysisReport) -> Value {
+fn bdd_record(experiment: &str, net: &str, scheme: &str, r: &AnalysisReport) -> Json {
     let s = r.manager_stats;
-    let mut record = Value::object(vec![
-        ("experiment", Value::Str(experiment.into())),
-        ("net", Value::Str(net.into())),
-        ("scheme", Value::Str(scheme.into())),
-        ("strategy", Value::Str(r.strategy.to_string())),
-        ("variables", Value::UInt(r.num_variables as u64)),
-        ("markings", Value::Float(r.num_markings)),
-        ("bdd_nodes", Value::UInt(r.bdd_nodes as u64)),
-        ("peak_live_nodes", Value::UInt(r.peak_live_nodes as u64)),
-        ("iterations", Value::UInt(r.iterations as u64)),
+    let mut record = Json::object(vec![
+        ("experiment", Json::Str(experiment.into())),
+        ("net", Json::Str(net.into())),
+        ("scheme", Json::Str(scheme.into())),
+        ("strategy", Json::Str(r.strategy.to_string())),
+        ("variables", Json::Int(r.num_variables as i64)),
+        ("markings", Json::Float(r.num_markings)),
+        ("bdd_nodes", Json::Int(r.bdd_nodes as i64)),
+        ("peak_live_nodes", Json::Int(r.peak_live_nodes as i64)),
+        ("iterations", Json::Int(r.iterations as i64)),
         (
             "encoding_ms",
-            Value::Float(r.encoding_time.as_secs_f64() * 1e3),
+            Json::Float(r.encoding_time.as_secs_f64() * 1e3),
         ),
         (
             "traversal_ms",
-            Value::Float(r.traversal_time.as_secs_f64() * 1e3),
+            Json::Float(r.traversal_time.as_secs_f64() * 1e3),
         ),
-        ("total_ms", Value::Float(r.total_time.as_secs_f64() * 1e3)),
-        ("unique_entries", Value::UInt(s.unique_entries as u64)),
-        ("unique_load", Value::Float(s.unique_load())),
-        ("cache_hits", Value::UInt(s.cache_hits)),
-        ("cache_misses", Value::UInt(s.cache_misses)),
-        ("cache_overwrites", Value::UInt(s.cache_overwrites)),
-        ("cache_hit_rate", Value::Float(s.cache_hit_rate())),
-        ("cache_capacity", Value::UInt(s.cache_capacity as u64)),
-        ("gc_runs", Value::UInt(s.gc_runs as u64)),
-        ("gc_reclaimed", Value::UInt(s.gc_reclaimed as u64)),
+        ("total_ms", Json::Float(r.total_time.as_secs_f64() * 1e3)),
+        ("unique_entries", Json::Int(s.unique_entries as i64)),
+        ("unique_load", Json::Float(s.unique_load())),
+        ("cache_hits", Json::Int(s.cache_hits as i64)),
+        ("cache_misses", Json::Int(s.cache_misses as i64)),
+        ("cache_overwrites", Json::Int(s.cache_overwrites as i64)),
+        ("cache_hit_rate", Json::Float(s.cache_hit_rate())),
+        ("cache_capacity", Json::Int(s.cache_capacity as i64)),
+        ("gc_runs", Json::Int(s.gc_runs as i64)),
+        ("gc_reclaimed", Json::Int(s.gc_reclaimed as i64)),
         (
             "truncated",
-            Value::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
+            Json::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
         ),
         (
             "degraded",
-            Value::Str(r.degraded.map_or("none".into(), |d| format!("{d:?}"))),
+            Json::Str(r.degraded.map_or("none".into(), |d| format!("{d:?}"))),
         ),
     ]);
-    if let Value::Object(fields) = &mut record {
+    if let Json::Obj(fields) = &mut record {
         for (name, op) in s.per_op() {
-            fields.push((format!("op_{name}_hits"), Value::UInt(op.hits)));
-            fields.push((format!("op_{name}_misses"), Value::UInt(op.misses)));
+            fields.push((format!("op_{name}_hits"), Json::Int(op.hits as i64)));
+            fields.push((format!("op_{name}_misses"), Json::Int(op.misses as i64)));
         }
     }
     record
 }
 
 /// The ZDD runs carry no BDD-manager statistics.
-fn zdd_record(experiment: &str, net: &str, r: &ZddAnalysisReport) -> Value {
-    Value::object(vec![
-        ("experiment", Value::Str(experiment.into())),
-        ("net", Value::Str(net.into())),
-        ("scheme", Value::Str("zdd-sparse".into())),
-        ("strategy", Value::Str(r.strategy.to_string())),
-        ("variables", Value::UInt(r.num_variables as u64)),
-        ("markings", Value::Float(r.num_markings)),
-        ("zdd_nodes", Value::UInt(r.zdd_nodes as u64)),
-        ("iterations", Value::UInt(r.iterations as u64)),
-        ("total_ms", Value::Float(r.total_time.as_secs_f64() * 1e3)),
+fn zdd_record(experiment: &str, net: &str, r: &ZddAnalysisReport) -> Json {
+    Json::object(vec![
+        ("experiment", Json::Str(experiment.into())),
+        ("net", Json::Str(net.into())),
+        ("scheme", Json::Str("zdd-sparse".into())),
+        ("strategy", Json::Str(r.strategy.to_string())),
+        ("variables", Json::Int(r.num_variables as i64)),
+        ("markings", Json::Float(r.num_markings)),
+        ("zdd_nodes", Json::Int(r.zdd_nodes as i64)),
+        ("iterations", Json::Int(r.iterations as i64)),
+        ("total_ms", Json::Float(r.total_time.as_secs_f64() * 1e3)),
         (
             "truncated",
-            Value::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
+            Json::Str(r.truncated.map_or("none".into(), |t| t.to_string())),
         ),
     ])
 }
@@ -440,7 +408,7 @@ fn table3(
     strategy: FixpointStrategy,
     order: VariableOrder,
     budgets: BudgetFlags,
-    records: &mut Vec<Value>,
+    records: &mut Vec<Json>,
 ) {
     println!("\n== Table 3: sparse vs dense encoding ({strategy}) =================");
     println!(
@@ -507,7 +475,7 @@ fn table4(
     strategy: FixpointStrategy,
     order: VariableOrder,
     budgets: BudgetFlags,
-    records: &mut Vec<Value>,
+    records: &mut Vec<Json>,
 ) {
     println!("\n== Table 4: ZDD compaction vs dense encoding ({strategy}) =========");
     println!(
@@ -691,7 +659,7 @@ fn smoke(
     strategy: FixpointStrategy,
     order: VariableOrder,
     budgets: BudgetFlags,
-    records: &mut Vec<Value>,
+    records: &mut Vec<Json>,
 ) {
     println!("\n== Smoke: kernel sanity on the two smallest nets ({strategy}) =====");
     let mut workloads = table3_workloads(Scale::Default);
@@ -759,42 +727,25 @@ fn smoke(
     println!("smoke OK");
 }
 
-/// Bfs vs Chaining vs Saturation comparison per net: the dense analysis of
-/// every table-3 and table-4 workload under the three strategies, medians
-/// over several runs. The marking counts must agree (the strategies
-/// compute the same fixpoint); what differs is the number of
-/// iterations/passes/sweeps, the peak node pressure, and the traversal
-/// time. The printed speedups are bfs/chaining and chaining/saturation.
-fn strategies(scale: Scale, records: &mut Vec<Value>) {
+/// Bfs vs Saturation comparison per net: the dense analysis of every
+/// table-3 and table-4 workload under both strategies, medians over
+/// several runs. The marking counts must agree (the strategies compute the
+/// same fixpoint); what differs is the number of iterations/sweeps, the
+/// peak node pressure, and the traversal time. The printed speedup is
+/// bfs/saturation.
+fn strategies(scale: Scale, records: &mut Vec<Json>) {
     const SAMPLES: usize = 9;
+    println!("\n== Strategies: Bfs vs Saturation (dense encoding, median of {SAMPLES}) ====");
     println!(
-        "\n== Strategies: Bfs vs Chaining vs Saturation (dense encoding, median of {SAMPLES}) ===="
+        "{:<12} {:>12} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>6}",
+        "PN", "markings", "iters", "peak", "trav(ms)", "sweep", "peak", "trav(ms)", "b/s"
     );
     println!(
-        "{:<12} {:>12} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>5} {:>8} {:>9} | {:>6} {:>6}",
-        "PN",
-        "markings",
-        "iters",
-        "peak",
-        "trav(ms)",
-        "pass",
-        "peak",
-        "trav(ms)",
-        "sweep",
-        "peak",
-        "trav(ms)",
-        "b/c",
-        "c/s"
-    );
-    println!(
-        "{:<12} {:>12} | {:^24} | {:^24} | {:^24} |",
-        "", "", "bfs (frontier)", "chaining (structural)", "saturation (levels)"
+        "{:<12} {:>12} | {:^24} | {:^24} |",
+        "", "", "bfs (frontier)", "saturation (levels)"
     );
     let compared = [
         FixpointStrategy::Bfs { use_frontier: true },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
         FixpointStrategy::Saturation,
     ];
     let mut workloads = table3_workloads(scale);
@@ -830,44 +781,33 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
             rows.push((representative, median_ms));
         }
         let (bfs, bfs_ms) = &rows[0];
-        let (chained, chain_ms) = &rows[1];
-        let (sat, sat_ms) = &rows[2];
-        assert_eq!(
-            bfs.num_markings, chained.num_markings,
-            "{name}: strategies disagree on the fixpoint"
-        );
+        let (sat, sat_ms) = &rows[1];
         assert_eq!(
             bfs.num_markings, sat.num_markings,
             "{name}: saturation disagrees on the fixpoint"
         );
         println!(
-            "{:<12} {:>12.3e} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5.2}x {:>5.2}x",
+            "{:<12} {:>12.3e} | {:>5} {:>8} {:>9.3} | {:>5} {:>8} {:>9.3} | {:>5.2}x",
             name,
             bfs.num_markings,
             bfs.iterations,
             bfs.peak_live_nodes,
             bfs_ms,
-            chained.iterations,
-            chained.peak_live_nodes,
-            chain_ms,
             sat.iterations,
             sat.peak_live_nodes,
             sat_ms,
-            bfs_ms / chain_ms,
-            chain_ms / sat_ms
+            bfs_ms / sat_ms
         );
         for (report, median_ms) in &rows {
             let mut record = bdd_record("strategies", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*median_ms)));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
+            if let Json::Obj(fields) = &mut record {
+                fields.push(("median_traversal_ms".to_string(), Json::Float(*median_ms)));
+                fields.push(("samples".to_string(), Json::Int(SAMPLES as i64)));
             }
             records.push(record);
         }
     }
-    println!(
-        "(all strategies must match bfs markings exactly; saturation ≥ chaining on table-3 nets)"
-    );
+    println!("(saturation must match bfs markings exactly)");
 }
 
 /// Static-variable-order comparison: the dense analysis of every table-3
@@ -875,7 +815,7 @@ fn strategies(scale: Scale, records: &mut Vec<Value>) {
 /// order (Section 5.2), medians over several interleaved runs. The
 /// marking counts must agree (the order only changes diagram shape); what
 /// differs is the node pressure and the traversal time.
-fn orders(scale: Scale, records: &mut Vec<Value>) {
+fn orders(scale: Scale, records: &mut Vec<Json>) {
     const SAMPLES: usize = 5;
     println!("\n== Orders: BFS-distance vs toggling static order (dense, median of {SAMPLES}) ==");
     println!(
@@ -934,123 +874,15 @@ fn orders(scale: Scale, records: &mut Vec<Value>) {
         );
         for ((report, median_ms), order) in rows.iter().zip(compared) {
             let mut record = bdd_record("orders", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("order".to_string(), Value::Str(order.to_string())));
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*median_ms)));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
+            if let Json::Obj(fields) = &mut record {
+                fields.push(("order".to_string(), Json::Str(order.to_string())));
+                fields.push(("median_traversal_ms".to_string(), Json::Float(*median_ms)));
+                fields.push(("samples".to_string(), Json::Int(SAMPLES as i64)));
             }
             records.push(record);
         }
     }
     println!("(both orders must agree on the markings; toggling helps where activity is skewed)");
-}
-
-/// Thread-scaling curves of the parallel cluster-image traversal: the dense
-/// analysis of every table-4 workload (the DME and JJreg families, whose
-/// cluster structure gives the workers something to chew on) at 1, 2 and 4
-/// worker threads, medians over several interleaved runs. The 1-thread arm
-/// runs the full sharded machinery on a single worker, so the printed
-/// speedups isolate the parallelism itself from the serialize/merge
-/// overhead.
-///
-/// Two time columns per thread count: the raw wall clock, and the
-/// traversal *critical path* (owner serial work + slowest worker busy time
-/// per pass — `AnalysisReport::traversal_critical_path`). On a host with at
-/// least one free core per worker the two coincide; on an oversubscribed
-/// host (e.g. a 1-core CI box) the wall clock measures the OS time-slicing
-/// `threads` workers onto too few cores, so the speedup columns are
-/// computed from the critical path, which models the traversal with enough
-/// cores. The host's core count is printed alongside so a reader can tell
-/// which regime the wall column was measured in.
-fn scaling(scale: Scale, records: &mut Vec<Value>) {
-    const SAMPLES: usize = 9;
-    const THREADS: [usize; 3] = [1, 2, 4];
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\n== Scaling: parallel traversal threads (dense encoding, median of {SAMPLES}) ====");
-    println!(
-        "host cores: {cores} — speedups read the critical path (wall clock only \
-         tracks it when every worker gets its own core)"
-    );
-    println!(
-        "{:<12} {:>12} | {:>21} {:>21} {:>21} | {:>6} {:>6}",
-        "PN",
-        "markings",
-        "1-thr wall/crit(ms)",
-        "2-thr wall/crit(ms)",
-        "4-thr wall/crit(ms)",
-        "1/2",
-        "1/4"
-    );
-    for Workload { name, net } in table4_workloads(scale) {
-        // Interleave the samples round-robin across the thread counts so
-        // ambient load drift hits every arm equally.
-        let mut runs: Vec<Vec<AnalysisReport>> = vec![Vec::new(); THREADS.len()];
-        let mut failed = false;
-        'sampling: for _ in 0..SAMPLES {
-            for (ti, &threads) in THREADS.iter().enumerate() {
-                let strategy = FixpointStrategy::Parallel { threads };
-                match analyze(&net, &AnalysisOptions::dense().with_strategy(strategy)) {
-                    Ok(r) => runs[ti].push(r),
-                    Err(e) => {
-                        println!("{name:<12} {strategy} analysis failed: {e}");
-                        failed = true;
-                        break 'sampling;
-                    }
-                }
-            }
-        }
-        if failed {
-            continue;
-        }
-        // Median wall and median critical path per arm (medians taken
-        // independently: each is the robust centre of its own metric).
-        let mut rows: Vec<(AnalysisReport, f64, f64)> = Vec::new();
-        for mut samples in runs {
-            samples.sort_by_key(|a| a.traversal_critical_path);
-            let crit_ms = samples[samples.len() / 2]
-                .traversal_critical_path
-                .as_secs_f64()
-                * 1e3;
-            samples.sort_by_key(|a| a.traversal_time);
-            let wall_ms = samples[samples.len() / 2].traversal_time.as_secs_f64() * 1e3;
-            let representative = samples.swap_remove(samples.len() / 2);
-            rows.push((representative, wall_ms, crit_ms));
-        }
-        for (report, ..) in &rows[1..] {
-            assert_eq!(
-                rows[0].0.num_markings, report.num_markings,
-                "{name}: thread counts disagree on the fixpoint"
-            );
-        }
-        println!(
-            "{:<12} {:>12.3e} | {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} | {:>5.2}x {:>5.2}x",
-            name,
-            rows[0].0.num_markings,
-            rows[0].1,
-            rows[0].2,
-            rows[1].1,
-            rows[1].2,
-            rows[2].1,
-            rows[2].2,
-            rows[0].2 / rows[1].2,
-            rows[0].2 / rows[2].2
-        );
-        for ((report, wall_ms, crit_ms), threads) in rows.iter().zip(THREADS) {
-            let mut record = bdd_record("scaling", &name, "improved-dense", report);
-            if let Value::Object(fields) = &mut record {
-                fields.push(("threads".to_string(), Value::UInt(threads as u64)));
-                fields.push(("median_traversal_ms".to_string(), Value::Float(*wall_ms)));
-                fields.push((
-                    "median_critical_path_ms".to_string(),
-                    Value::Float(*crit_ms),
-                ));
-                fields.push(("samples".to_string(), Value::UInt(SAMPLES as u64)));
-                fields.push(("host_cores".to_string(), Value::UInt(cores as u64)));
-            }
-            records.push(record);
-        }
-    }
-    println!("(all thread counts must match the 1-thread markings exactly)");
 }
 
 /// The symbolic context used by the property runner: the improved dense
@@ -1072,7 +904,7 @@ fn run_property_suite(
     queries: &[PropertySpec],
     strategy: FixpointStrategy,
     budgets: BudgetFlags,
-    records: &mut Vec<Value>,
+    records: &mut Vec<Json>,
 ) -> bool {
     println!(
         "\n-- {} ({} queries, {strategy})",
@@ -1129,25 +961,25 @@ fn run_property_suite(
             query.formula,
             marker
         );
-        records.push(Value::object(vec![
-            ("experiment", Value::Str("properties".into())),
-            ("net", Value::Str(net.name().into())),
-            ("property", Value::Str(query.name.clone())),
-            ("formula", Value::Str(query.formula.clone())),
-            ("strategy", Value::Str(strategy.to_string())),
-            ("holds", Value::Str(verdict.into())),
-            ("expected", Value::Str(expect.into())),
-            ("sat_markings", Value::Float(report.sat_markings)),
-            ("reached_markings", Value::Float(report.reached_markings)),
+        records.push(Json::object(vec![
+            ("experiment", Json::Str("properties".into())),
+            ("net", Json::Str(net.name().into())),
+            ("property", Json::Str(query.name.clone())),
+            ("formula", Json::Str(query.formula.clone())),
+            ("strategy", Json::Str(strategy.to_string())),
+            ("holds", Json::Str(verdict.into())),
+            ("expected", Json::Str(expect.into())),
+            ("sat_markings", Json::Float(report.sat_markings)),
+            ("reached_markings", Json::Float(report.reached_markings)),
             (
                 "truncated",
-                Value::Str(report.truncated.map_or("none".into(), |t| t.to_string())),
+                Json::Str(report.truncated.map_or("none".into(), |t| t.to_string())),
             ),
             (
                 "witness_len",
-                Value::Int(report.trace.as_ref().map_or(-1, |t| t.len() as i64)),
+                Json::Int(report.trace.as_ref().map_or(-1, |t| t.len() as i64)),
             ),
-            ("check_ms", Value::Float(ms)),
+            ("check_ms", Json::Float(ms)),
         ]));
     }
     all_met
@@ -1155,7 +987,7 @@ fn run_property_suite(
 
 /// The bundled per-net CTL property suites (mutual exclusion, liveness,
 /// deadlock, ordering) on a representative instance of every family.
-fn properties(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
+fn properties(strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     println!("\n== Properties: bundled CTL suites ({strategy}) ====================");
     let nets = [
         figure1(),
@@ -1228,7 +1060,7 @@ fn parse_props_file(text: &str) -> Result<Vec<(PetriNet, Vec<PropertySpec>)>, St
 
 /// `experiments check <file>`: run every suite of a property file and exit
 /// non-zero when a recorded expectation is violated.
-fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Value>) {
+fn check(path: &str, strategy: FixpointStrategy, budgets: BudgetFlags, records: &mut Vec<Json>) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check: cannot read {path}: {e}");
         std::process::exit(2);

@@ -21,7 +21,7 @@
 //!   variable set and protected across garbage collection.
 //! * The pluggable fixpoint engine ([`FixpointStrategy`],
 //!   [`TraversalOptions`], [`ReachabilityResult`]): one generic driver
-//!   shared by the BDD and ZDD backends, with breadth-first, chained and
+//!   shared by the BDD and ZDD backends, with breadth-first and
 //!   level-saturating exploration, and the high-level [`analyze`] /
 //!   [`analyze_zdd`] entry points producing the rows of the paper's
 //!   tables.
@@ -58,7 +58,6 @@ pub mod encoding;
 mod explicit;
 mod image;
 mod mc;
-mod parallel;
 pub mod plan;
 pub mod preplan;
 mod property;
@@ -86,8 +85,8 @@ pub use toggling::{
 };
 pub use trace::WitnessTrace;
 pub use traverse::{
-    ChainingOrder, FixpointStrategy, PassObserver, ReachabilityResult, SiftPolicy,
-    TraversalOptions, ADAPTIVE_SIFT_FLOOR,
+    FixpointStrategy, PassObserver, ReachabilityResult, SiftPolicy, TraversalOptions,
+    ADAPTIVE_SIFT_FLOOR,
 };
 pub use zdd_reach::{ZddContext, ZddReachabilityResult};
 

@@ -45,8 +45,8 @@ use crate::preplan::PreImagePlan;
 use crate::property::Property;
 use crate::trace::WitnessTrace;
 use crate::traverse::{
-    run_fixpoint, top_written_level, ChainingOrder, FixpointKernel, FixpointStrategy,
-    ReachabilityResult, TraversalOptions,
+    run_fixpoint, top_written_level, FixpointKernel, FixpointStrategy, ReachabilityResult,
+    TraversalOptions,
 };
 use pnsym_bdd::{Interrupt, Ref, TruncationReason};
 use pnsym_net::TransitionId;
@@ -85,10 +85,10 @@ pub struct CheckReport {
     /// What [`CheckReport::trace`] demonstrates; `None` iff `trace` is.
     pub trace_kind: Option<TraceKind>,
     /// Why the underlying reachability fixpoint stopped early
-    /// ([`TraversalOptions::max_iterations`], a budget breach, a worker
-    /// loss), or `None` for a complete fixpoint. A truncated run explores
-    /// only a subset of the reachable markings, so [`CheckReport::holds`]
-    /// and [`CheckReport::sat_markings`] describe that explored prefix,
+    /// ([`TraversalOptions::max_iterations`] or a budget breach), or
+    /// `None` for a complete fixpoint. A truncated run explores only a
+    /// subset of the reachable markings, so [`CheckReport::holds`] and
+    /// [`CheckReport::sat_markings`] describe that explored prefix,
     /// **not a definitive verdict** over the full state space — callers
     /// must surface this instead of trusting the verdict (the bench
     /// `check` runner prints the reason and fails truncated verdicts).
@@ -164,7 +164,7 @@ impl FixpointKernel for BackwardKernel<'_> {
         self.plan.num_clusters()
     }
 
-    fn cluster_sequence(&self, _order: ChainingOrder) -> Vec<usize> {
+    fn cluster_sequence(&self) -> Vec<usize> {
         self.plan.backward_order().to_vec()
     }
 
@@ -400,7 +400,7 @@ impl SymbolicContext {
 
     /// Governed [`SymbolicContext::ag`].
     pub fn try_ag(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let not_target = self.manager_mut().try_not(target)?;
+        let not_target = self.manager_mut().not(target);
         let bad = self.try_ef(not_target, within)?;
         self.manager_mut().try_diff(within, bad)
     }
@@ -413,7 +413,7 @@ impl SymbolicContext {
 
     /// Governed [`SymbolicContext::af`].
     pub fn try_af(&mut self, target: Ref, within: Ref) -> Result<Ref, Interrupt> {
-        let not_target = self.manager_mut().try_not(target)?;
+        let not_target = self.manager_mut().not(target);
         let avoid = self.try_eg(not_target, within)?;
         self.manager_mut().try_diff(within, avoid)
     }

@@ -13,8 +13,8 @@
 //!
 //! * A *backward* static order: clusters sorted by **descending**
 //!   structural rank, so a backward pass pulls target sets against the
-//!   net's flow, mirroring how the forward chained strategy pushes tokens
-//!   along it.
+//!   net's flow, mirroring how forward saturation pushes tokens along
+//!   it.
 //! * The *transposed* feeds relation ([`PreImagePlan::cluster_feeds`]) the
 //!   backward saturation scheduler dirties clusters by.
 
@@ -33,7 +33,7 @@ use std::rc::Rc;
 pub struct PreImagePlan {
     forward: Rc<ImagePlan>,
     /// Cluster indices sorted by descending structural rank (the backward
-    /// chaining order).
+    /// firing order).
     backward_order: Vec<usize>,
 }
 

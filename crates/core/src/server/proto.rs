@@ -1,13 +1,12 @@
 //! The `pnsymd` wire protocol: line-delimited JSON over TCP.
 //!
 //! Every request and every response is one JSON object on one line —
-//! hand-rolled on `std` (no serde in the dependency closure), mirroring the
-//! workspace's hand-rolled JSON *writer* in the bench crate with the parser
-//! this module adds. The protocol is strictly request/response with
-//! streaming: one request line produces one or more response lines, the
-//! last of which is *terminal* ([`Response::is_terminal`]), so a client
-//! reads until the terminal line and the connection is immediately ready
-//! for the next request.
+//! hand-rolled on `std` (no serde in the dependency closure). The same
+//! [`Json`] codec writes the bench harness's `--json` records. The
+//! protocol is strictly request/response with streaming: one request line
+//! produces one or more response lines, the last of which is *terminal*
+//! ([`Response::is_terminal`]), so a client reads until the terminal line
+//! and the connection is immediately ready for the next request.
 //!
 //! Malformed input of any kind — unparseable JSON, an unknown `op`, a
 //! formula [`Property::parse`](crate::Property::parse) rejects — comes back
@@ -42,6 +41,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in the given order.
+    pub fn object(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Looks up a key of an object; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -463,8 +472,8 @@ pub struct CheckRequest {
     /// the server is built with the `fault-inject` feature, ignored
     /// otherwise.
     pub fault_seed: Option<u64>,
-    /// Traversal strategy override (`bfs`, `chaining`, `saturation`,
-    /// `parallel`); `None` uses the server default.
+    /// Traversal strategy override (`bfs`, `bfs-full` or `saturation`);
+    /// `None` uses the server default.
     pub strategy: Option<String>,
     /// Whether verdict lines should carry witness traces.
     pub witness: bool,
@@ -773,7 +782,6 @@ fn truncation_to_str(reason: TruncationReason) -> &'static str {
         TruncationReason::NodeBudget => "node-budget",
         TruncationReason::StepBudget => "step-budget",
         TruncationReason::InjectedFault => "injected-fault",
-        TruncationReason::WorkerLoss => "worker-loss",
     }
 }
 
@@ -784,7 +792,6 @@ fn truncation_from_str(s: &str) -> Option<TruncationReason> {
         "node-budget" => TruncationReason::NodeBudget,
         "step-budget" => TruncationReason::StepBudget,
         "injected-fault" => TruncationReason::InjectedFault,
-        "worker-loss" => TruncationReason::WorkerLoss,
         _ => return None,
     })
 }

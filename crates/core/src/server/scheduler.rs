@@ -22,7 +22,7 @@ use crate::context::SymbolicContext;
 use crate::encoding::{AssignmentStrategy, Encoding};
 use crate::mc::TraceKind;
 use crate::property::Property;
-use crate::traverse::{ChainingOrder, FixpointStrategy, TraversalOptions};
+use crate::traverse::{FixpointStrategy, TraversalOptions};
 use pnsym_bdd::{Ref, TruncationReason};
 use pnsym_net::PetriNet;
 use pnsym_structural::find_smcs;
@@ -72,31 +72,6 @@ impl Default for ServerConfig {
             disk_faults: None,
         }
     }
-}
-
-/// Parses the protocol's strategy names (the same spellings the
-/// [`FixpointStrategy`] `Display` impl produces): `bfs`, `bfs-full`,
-/// `chaining`, `chaining-index`, `saturation`, `parallel` or
-/// `parallel-N`.
-pub fn parse_strategy(spec: &str) -> Option<FixpointStrategy> {
-    Some(match spec {
-        "bfs" => FixpointStrategy::Bfs { use_frontier: true },
-        "bfs-full" => FixpointStrategy::Bfs {
-            use_frontier: false,
-        },
-        "chaining" => FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
-        "chaining-index" => FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
-        },
-        "saturation" => FixpointStrategy::Saturation,
-        "parallel" => FixpointStrategy::Parallel { threads: 2 },
-        other => {
-            let threads = other.strip_prefix("parallel-")?.parse().ok()?;
-            FixpointStrategy::Parallel { threads }
-        }
-    })
 }
 
 /// Builds the context the daemon serves for a net: the PR-2 dense SMC
@@ -230,13 +205,13 @@ impl Scheduler {
 
         let strategy = match &check.strategy {
             None => self.config.default_strategy,
-            Some(spec) => match parse_strategy(spec) {
-                Some(strategy) => strategy,
-                None => {
+            Some(spec) => match spec.parse() {
+                Ok(strategy) => strategy,
+                Err(message) => {
                     return emit(Response::Error {
                         id,
                         code: ErrorCode::Request,
-                        message: format!("unknown traversal strategy {spec:?}"),
+                        message,
                         terminal: true,
                         retry_after_ms: None,
                     });
@@ -342,31 +317,26 @@ impl Scheduler {
         // the warm context; otherwise run the governed traversal — resumed
         // from the last durable checkpoint when one exists, re-checkpointed
         // at pass boundaries as it runs — and cache (plus snapshot) the
-        // result if it ran to completion. The parallel strategy restarts
-        // from the initial marking instead: its sharded driver neither
-        // consumes seeds nor reports pass boundaries.
+        // result if it ran to completion.
         let mut spilled = false;
         let run = match entry.reached_for(strategy) {
             Some(run) => run,
             None => {
-                let parallel = matches!(strategy, FixpointStrategy::Parallel { .. });
                 let mut seed = None;
                 let mut base_iterations = 0usize;
-                if !parallel {
-                    if let Some(store) = snapshots.as_deref_mut() {
-                        match store.load_checkpoint(key, strategy, entry.context_mut()) {
-                            Some(Ok((set, passes))) => {
-                                seed = Some(set);
-                                base_iterations = passes;
-                            }
-                            Some(Err(reason)) => eprintln!(
-                                "pnsymd: checkpoint {key:016x} rejected ({reason}); restarting cold"
-                            ),
-                            None => {}
+                if let Some(store) = snapshots.as_deref_mut() {
+                    match store.load_checkpoint(key, strategy, entry.context_mut()) {
+                        Some(Ok((set, passes))) => {
+                            seed = Some(set);
+                            base_iterations = passes;
                         }
+                        Some(Err(reason)) => eprintln!(
+                            "pnsymd: checkpoint {key:016x} rejected ({reason}); restarting cold"
+                        ),
+                        None => {}
                     }
                 }
-                let checkpointing = !parallel && checkpoint_every != 0 && snapshots.is_some();
+                let checkpointing = checkpoint_every != 0 && snapshots.is_some();
                 let mut run = if checkpointing {
                     let spec = check.net.as_str();
                     let snapshots = &mut snapshots;
@@ -526,27 +496,6 @@ mod tests {
             "stream must end with a terminal line: {out:?}"
         );
         out
-    }
-
-    #[test]
-    fn strategy_names_round_trip_through_display() {
-        for strategy in [
-            FixpointStrategy::Bfs { use_frontier: true },
-            FixpointStrategy::Bfs {
-                use_frontier: false,
-            },
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Structural,
-            },
-            FixpointStrategy::Chaining {
-                order: ChainingOrder::Index,
-            },
-            FixpointStrategy::Saturation,
-            FixpointStrategy::Parallel { threads: 3 },
-        ] {
-            assert_eq!(parse_strategy(&strategy.to_string()), Some(strategy));
-        }
-        assert_eq!(parse_strategy("dfs"), None);
     }
 
     #[test]

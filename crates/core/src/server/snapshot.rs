@@ -29,7 +29,6 @@
 //! degradation paths.
 
 use super::pool::WarmContext;
-use super::scheduler::parse_strategy;
 use crate::context::SymbolicContext;
 use crate::traverse::{FixpointStrategy, ReachabilityResult};
 use pnsym_bdd::{snapshot_checksum, Ref, SerializedBdd, SnapshotError};
@@ -415,14 +414,14 @@ impl SnapshotStore {
         let mut restored: Vec<(FixpointStrategy, ReachabilityResult)> =
             Vec::with_capacity(roots.len());
         for (entry, &root) in payload.entries.iter().zip(&roots) {
-            let Some(strategy) = parse_strategy(&entry.strategy) else {
-                for (_, run) in &restored {
-                    ctx.manager_mut().unprotect(run.reached);
+            let strategy: FixpointStrategy = match entry.strategy.parse() {
+                Ok(strategy) => strategy,
+                Err(message) => {
+                    for (_, run) in &restored {
+                        ctx.manager_mut().unprotect(run.reached);
+                    }
+                    return Err(SnapshotRejection::Mismatch(message));
                 }
-                return Err(SnapshotRejection::Mismatch(format!(
-                    "unknown strategy {:?}",
-                    entry.strategy
-                )));
             };
             ctx.manager_mut().protect(root);
             let num_markings = ctx.count_markings(root);
@@ -445,7 +444,6 @@ impl SnapshotStore {
                     bdd_nodes: ctx.bdd_size(root),
                     peak_live_nodes: ctx.manager().peak_live_nodes(),
                     duration: Duration::ZERO,
-                    critical_path: Duration::ZERO,
                     truncated: None,
                     strategy,
                 },
@@ -548,7 +546,7 @@ impl SnapshotStore {
                 return Some(Err(rejection));
             }
         };
-        if parse_strategy(&entry.strategy) != Some(strategy) {
+        if entry.strategy.parse() != Ok(strategy) {
             return None;
         }
         match import_into(ctx, &bdd) {

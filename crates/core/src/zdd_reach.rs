@@ -20,7 +20,7 @@
 //! saturation strategy) precomputed once per context.
 
 use crate::plan::structural_transition_ranks;
-use crate::traverse::{run_fixpoint, ChainingOrder, FixpointKernel, FixpointStrategy};
+use crate::traverse::{run_fixpoint, FixpointKernel, FixpointStrategy};
 use pnsym_bdd::{
     Budget, Interrupt, TruncationReason, ZddManager, ZddRef, ZddUpdate, ZddUpdateAction,
 };
@@ -35,8 +35,7 @@ pub struct ZddReachabilityResult {
     /// Number of reachable markings.
     pub num_markings: f64,
     /// Number of fixpoint iterations: breadth-first steps under
-    /// [`FixpointStrategy::Bfs`], productive passes under
-    /// [`FixpointStrategy::Chaining`], productive level sweeps under
+    /// [`FixpointStrategy::Bfs`], productive level sweeps under
     /// [`FixpointStrategy::Saturation`].
     pub iterations: usize,
     /// ZDD node count of the final reached family.
@@ -80,14 +79,15 @@ pub struct ZddContext {
     /// backing the O(words) feeds test of the saturation scheduler.
     pre_bits: Vec<Vec<u64>>,
     post_bits: Vec<Vec<u64>>,
-    /// Transition indices sorted by structural rank (the chaining order).
+    /// Transition indices sorted by structural rank (the firing order
+    /// within a saturation level).
     structural_order: Vec<usize>,
 }
 
 impl ZddContext {
     /// Builds the ZDD context for a net: one ZDD element per place, with
     /// the per-transition fused updates (forward and backward) and the
-    /// static chaining order precomputed.
+    /// static structural firing order precomputed.
     pub fn new(net: &PetriNet) -> Self {
         let mut manager = ZddManager::new(net.num_places());
         let marked: Vec<usize> = net
@@ -306,11 +306,8 @@ impl FixpointKernel for ZddFixpointKernel<'_> {
         self.ctx.ops.len()
     }
 
-    fn cluster_sequence(&self, order: ChainingOrder) -> Vec<usize> {
-        match order {
-            ChainingOrder::Structural => self.ctx.structural_order.clone(),
-            ChainingOrder::Index => (0..self.ctx.ops.len()).collect(),
-        }
+    fn cluster_sequence(&self) -> Vec<usize> {
+        self.ctx.structural_order.clone()
     }
 
     fn cluster_top_level(&self, cluster: usize) -> u32 {
@@ -378,12 +375,7 @@ mod tests {
                 FixpointStrategy::Bfs {
                     use_frontier: false,
                 },
-                FixpointStrategy::Chaining {
-                    order: ChainingOrder::Structural,
-                },
-                FixpointStrategy::Chaining {
-                    order: ChainingOrder::Index,
-                },
+                FixpointStrategy::Saturation,
             ] {
                 let mut ctx = ZddContext::new(&net);
                 let result = ctx.reachable_markings_with(strategy);
@@ -397,24 +389,6 @@ mod tests {
                 assert!(result.truncated.is_none());
             }
         }
-    }
-
-    #[test]
-    fn zdd_chaining_needs_fewer_passes() {
-        let net = slotted_ring(3);
-        let mut a = ZddContext::new(&net);
-        let mut b = ZddContext::new(&net);
-        let bfs = a.reachable_markings_with(FixpointStrategy::Bfs { use_frontier: true });
-        let chained = b.reachable_markings_with(FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        });
-        assert_eq!(bfs.num_markings, chained.num_markings);
-        assert!(
-            chained.iterations < bfs.iterations,
-            "chaining took {} passes vs {} BFS iterations",
-            chained.iterations,
-            bfs.iterations
-        );
     }
 
     #[test]

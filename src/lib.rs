@@ -52,10 +52,10 @@ pub use pnsym_core::server;
 pub use pnsym_core::{
     analyze, analyze_zdd, analyze_zdd_governed, analyze_zdd_with, build_encoding,
     toggling_activity, toggling_of_state_codes, AnalysisError, AnalysisOptions, AnalysisReport,
-    AssignmentStrategy, Block, Budget, ChainingOrder, CheckReport, DegradationStep, Encoding,
-    ExplicitChecker, FixpointStrategy, ImageCluster, ImagePlan, Interrupt, PassObserver,
-    PortfolioReport, PreImagePlan, Property, PropertyParseError, ReachabilityResult, SchemeKind,
-    SiftPolicy, SymbolicContext, TogglingReport, TraceKind, TransitionEffect, TraversalOptions,
+    AssignmentStrategy, Block, Budget, CheckReport, DegradationStep, Encoding, ExplicitChecker,
+    FixpointStrategy, ImageCluster, ImagePlan, Interrupt, PassObserver, PortfolioReport,
+    PreImagePlan, Property, PropertyParseError, ReachabilityResult, SchemeKind, SiftPolicy,
+    SymbolicContext, TogglingReport, TraceKind, TransitionEffect, TraversalOptions,
     TruncationReason, WitnessTrace, ZddAnalysisReport, ZddContext, ZddReachabilityResult,
 };
 #[cfg(feature = "fault-inject")]
@@ -70,7 +70,7 @@ pub mod prelude {
         find_smcs, minimal_invariants, select_smc_cover, CoverStrategy, Smc,
     };
     pub use crate::{
-        analyze, analyze_zdd, AnalysisOptions, AssignmentStrategy, ChainingOrder, Encoding,
-        FixpointStrategy, Property, SchemeKind, SymbolicContext, TraversalOptions, WitnessTrace,
+        analyze, analyze_zdd, AnalysisOptions, AssignmentStrategy, Encoding, FixpointStrategy,
+        Property, SchemeKind, SymbolicContext, TraversalOptions, WitnessTrace,
     };
 }

@@ -9,23 +9,17 @@
 use pnsym::net::{NetBuilder, PetriNet};
 use pnsym::structural::{find_smcs, minimal_invariants, CoverStrategy};
 use pnsym::{
-    analyze_zdd_with, AssignmentStrategy, ChainingOrder, Encoding, FixpointStrategy,
-    SymbolicContext, TraversalOptions, ZddContext,
+    analyze_zdd_with, AssignmentStrategy, Encoding, FixpointStrategy, SymbolicContext,
+    TraversalOptions,
 };
 use proptest::prelude::*;
 
 /// Every fixpoint strategy of the shared driver.
-fn all_strategies() -> [FixpointStrategy; 5] {
+fn all_strategies() -> [FixpointStrategy; 3] {
     [
         FixpointStrategy::Bfs { use_frontier: true },
         FixpointStrategy::Bfs {
             use_frontier: false,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Structural,
-        },
-        FixpointStrategy::Chaining {
-            order: ChainingOrder::Index,
         },
         FixpointStrategy::Saturation,
     ]
@@ -141,26 +135,6 @@ proptest! {
             let zdd = analyze_zdd_with(&net, strategy);
             prop_assert_eq!(zdd.num_markings, expected, "zdd under {}", strategy);
         }
-    }
-
-    #[test]
-    fn chaining_never_needs_more_passes_than_bfs_iterations(spec in arb_spec()) {
-        // Chaining folds partial images within a pass, so a pass subsumes at
-        // least one full breadth-first step; the pass count can never exceed
-        // the BFS iteration count on the same net.
-        let net = build_net(&spec);
-        let mut bfs_ctx = ZddContext::new(&net);
-        let mut chain_ctx = ZddContext::new(&net);
-        let bfs = bfs_ctx.reachable_markings_with(
-            FixpointStrategy::Bfs { use_frontier: true });
-        let chained = chain_ctx.reachable_markings_with(
-            FixpointStrategy::Chaining { order: ChainingOrder::Structural });
-        prop_assert_eq!(bfs.num_markings, chained.num_markings);
-        prop_assert!(
-            chained.iterations <= bfs.iterations,
-            "chaining took {} passes vs {} BFS iterations",
-            chained.iterations, bfs.iterations
-        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! * torn, truncated and bit-flipped snapshot files are always rejected
 //!   with a typed reason — never a panic — and deleted, so the next query
 //!   degrades to a cold rebuild;
+//! * a snapshot naming a strategy this build does not know is rejected
+//!   the same way, and the daemon rebuilds the family cold;
 //! * a fixpoint checkpointed at pass boundaries resumes after a simulated
 //!   crash and converges to the *same* fixpoint, bit-identical to a cold
 //!   run;
@@ -19,15 +21,15 @@
 //!   connections as typed connect errors, and rides out a dropped
 //!   connection by reconnecting and resending the same idempotent request.
 
-use pnsym::bdd::Ref;
+use pnsym::bdd::{snapshot_checksum, Ref};
 use pnsym::net::nets::{self, property_suite};
 use pnsym::net::PetriNet;
 use pnsym::server::{
-    build_context, canonical_net_hash, parse_strategy, serve, Client, ClientConfig, ClientError,
-    ErrorCode, NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle,
+    build_context, canonical_net_hash, serve, Client, ClientConfig, ClientError, ErrorCode,
+    NetResolver, PoolOutcome, Request, Response, ServerConfig, ServerHandle, SnapshotRejection,
     SnapshotStore, Verdict, WarmContext,
 };
-use pnsym::{SymbolicContext, TraversalOptions};
+use pnsym::{FixpointStrategy, SymbolicContext, TraversalOptions};
 use proptest::prelude::*;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
@@ -60,8 +62,10 @@ fn test_net(pick: usize) -> (&'static str, PetriNet) {
     }
 }
 
-fn test_strategy(pick: usize) -> &'static str {
-    ["bfs", "chaining", "saturation"][pick % 3]
+fn test_strategy(pick: usize) -> FixpointStrategy {
+    ["bfs", "bfs-full", "saturation"][pick % 3]
+        .parse()
+        .expect("bundled strategy")
 }
 
 /// The net's bundled suite as a `check` request.
@@ -108,7 +112,7 @@ proptest! {
     #[test]
     fn warm_snapshots_round_trip_bit_identically(net_pick in 0usize..4, strat_pick in 0usize..3) {
         let (spec, net) = test_net(net_pick);
-        let strategy = parse_strategy(test_strategy(strat_pick)).expect("bundled strategy");
+        let strategy = test_strategy(strat_pick);
         let key = canonical_net_hash(&net);
         let options = TraversalOptions::with_strategy(strategy);
 
@@ -144,7 +148,7 @@ proptest! {
     fn corrupted_snapshots_always_reject_typed(cut in 0usize..10_000, flip in 0usize..10_000) {
         let net = nets::figure1();
         let key = canonical_net_hash(&net);
-        let strategy = parse_strategy("bfs").expect("bfs");
+        let strategy = FixpointStrategy::Bfs { use_frontier: true };
         let mut entry = WarmContext::new(key, "figure1", build_context(&net));
         let run = entry
             .context_mut()
@@ -185,6 +189,73 @@ proptest! {
     }
 }
 
+/// A warm snapshot whose entry names a strategy this build does not know
+/// (here `chaining`, which older builds wrote) is rejected with a typed
+/// mismatch and deleted; a daemon over the same directory then rebuilds
+/// the family cold with correct counts.
+#[test]
+fn snapshot_with_an_unknown_strategy_rebuilds_cold() {
+    let net = nets::figure1();
+    let key = canonical_net_hash(&net);
+    let strategy = FixpointStrategy::Bfs {
+        use_frontier: false,
+    };
+    let mut entry = WarmContext::new(key, "figure1", build_context(&net));
+    let run = entry
+        .context_mut()
+        .reachable_markings_with(TraversalOptions::with_strategy(strategy));
+    entry.store_reached(strategy, run);
+
+    let dir = scratch_dir("unknown-strategy");
+    let mut store = SnapshotStore::open(&dir).expect("open store");
+    assert!(store.save_warm(&entry).expect("save warm"));
+    // Retag the entry from `bfs-full` to the same-length `chaining` and
+    // reseal the trailing checksum, so only the name is wrong.
+    let path = dir.join(format!("warm-{key:016x}.pnsnap"));
+    let mut bytes = fs::read(&path).expect("read snapshot");
+    let at = bytes
+        .windows(8)
+        .position(|w| w == b"bfs-full")
+        .expect("entry tag");
+    bytes[at..at + 8].copy_from_slice(b"chaining");
+    let body = bytes.len() - 8;
+    let sum = snapshot_checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    fs::write(&path, &bytes).expect("write retagged snapshot");
+
+    let rejection = store
+        .restore_warm(key, &mut build_context(&net))
+        .expect("snapshot file exists")
+        .expect_err("an unknown strategy must be rejected");
+    assert!(
+        matches!(rejection, SnapshotRejection::Mismatch(_)),
+        "{rejection}"
+    );
+    assert!(!path.exists(), "rejected snapshot is deleted");
+
+    fs::write(&path, &bytes).expect("write retagged snapshot again");
+    let handle = boot(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let responses = client
+        .request(&suite_request(1, "figure1", &net))
+        .expect("cold run");
+    let Some(Response::Done { pool, .. }) = responses.last() else {
+        panic!("stream ends in done");
+    };
+    assert_eq!(*pool, PoolOutcome::Miss, "the family rebuilds cold");
+    let expected = net.explore().expect("explore").num_markings() as f64;
+    let verdicts = verdicts(&responses);
+    assert!(!verdicts.is_empty());
+    for verdict in verdicts {
+        assert_eq!(verdict.reached_markings, expected, "{}", verdict.name);
+    }
+    handle.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpointed fixpoints resume after a crash
 // ---------------------------------------------------------------------------
@@ -198,7 +269,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
     let net = nets::philosophers(3);
     let spec = "phil-3";
     let key = canonical_net_hash(&net);
-    let strategy = parse_strategy("bfs").expect("bfs");
+    let strategy = FixpointStrategy::Bfs { use_frontier: true };
     let options = TraversalOptions::with_strategy(strategy);
     let dir = scratch_dir("checkpoint-resume");
     let mut store = SnapshotStore::open(&dir).expect("open store");
@@ -242,7 +313,7 @@ fn checkpoint_resume_converges_to_the_cold_fixpoint() {
 
     // A checkpoint for a different strategy is left alone (None), and a
     // completed query clears its checkpoint.
-    let other = parse_strategy("chaining").expect("chaining");
+    let other = FixpointStrategy::Saturation;
     let mut fresh = build_context(&net);
     assert!(store.load_checkpoint(key, other, &mut fresh).is_none());
     assert!(dir.join(format!("ckpt-{key:016x}.pnsnap")).exists());
@@ -515,7 +586,7 @@ mod disk_faults {
 
     fn warm_entry(net: &PetriNet, spec: &str) -> WarmContext {
         let key = canonical_net_hash(net);
-        let strategy = parse_strategy("bfs").expect("bfs");
+        let strategy = FixpointStrategy::Bfs { use_frontier: true };
         let mut entry = WarmContext::new(key, spec, build_context(net));
         let run = entry
             .context_mut()
